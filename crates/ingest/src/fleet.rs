@@ -1431,6 +1431,26 @@ mod tests {
     }
 
     #[test]
+    fn shard_state_line_matches_the_fixture() {
+        let shard = ShardSpec {
+            id: 3,
+            addr: "127.0.0.1:9003".to_string(),
+        };
+        let health = ShardHealth {
+            state: ShardState::Suspect,
+            pressure: Pressure::Soft,
+            consecutive_failures: 2,
+            epoch: 7,
+            fenced_declared: true,
+            ..ShardHealth::new()
+        };
+        assert_eq!(
+            shard_state_json(&shard, &health) + "\n",
+            include_str!("../tests/golden/shard_state.jsonl")
+        );
+    }
+
+    #[test]
     fn shard_state_transitions_respect_thresholds() {
         let config = FleetConfig {
             suspect_after: 2,

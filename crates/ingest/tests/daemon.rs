@@ -456,3 +456,26 @@ fn stats_report_the_negotiated_protocol_version() {
     handle.shutdown();
     daemon.join().expect("daemon");
 }
+
+/// The three gauges that ride along on every `STATS` reply
+/// (`protocol_version`, `fencing_epoch`, `fenced`), byte for byte: once on
+/// a bare scrape connection, once inside a labelled `paramount/2` session.
+#[test]
+fn ride_along_stat_lines_match_the_fixture() {
+    let (addr, handle, _rx, daemon) = spawn_daemon(ServerConfig::default());
+    let ride_along = |lines: Vec<String>| lines[lines.len() - 3..].join("\n") + "\n";
+
+    let mut scrape = Client::connect_tcp(addr).expect("connect");
+    let mut got = ride_along(scrape.stats().expect("stats"));
+
+    let mut client = Client::connect_tcp(addr).expect("connect");
+    let mut hello = Hello::new(2);
+    hello.label = Some("smoke".to_string());
+    client.hello(&hello).expect("hello");
+    got.push_str(&ride_along(client.stats().expect("stats")));
+    client.finish().expect("finish");
+
+    assert_eq!(got, include_str!("golden/ride_along.jsonl"));
+    handle.shutdown();
+    daemon.join().expect("daemon");
+}
