@@ -40,7 +40,7 @@ pub fn from_args() -> Option<MetricsOut> {
 impl MetricsOut {
     /// Appends one run's snapshot under `label`.
     pub fn record(&mut self, label: &str, snapshot: &MetricsSnapshot) {
-        snapshot.write_json_lines(label, &mut self.lines);
+        self.lines.push_str(&snapshot.to_json_lines(label));
     }
 
     /// Writes everything recorded so far to the chosen target.

@@ -1,6 +1,6 @@
 //! Machine-readable perf records for the CI regression gate (the `perf`
-//! binary): serialization, a dependency-free JSON reader, and the
-//! comparison logic that decides pass/fail against a committed baseline.
+//! binary): serialization through [`paramount::json`] and the comparison
+//! logic that decides pass/fail against a committed baseline.
 //!
 //! Two kinds of checks, deliberately separated:
 //!
@@ -24,7 +24,7 @@
 //!   (invariants still run) and CI uploads the fresh report as the
 //!   candidate baseline to commit.
 
-use std::fmt::Write as _;
+use paramount::json::{self, Json, Object};
 
 /// One measured (workload, algorithm) cell.
 #[derive(Clone, Debug, PartialEq)]
@@ -69,78 +69,73 @@ pub struct Report {
 }
 
 impl Report {
-    /// Serializes to the `BENCH_perf.json` schema.
+    /// Serializes to the `BENCH_perf.json` schema, one record per line.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": 1,\n");
-        let _ = writeln!(out, "  \"bootstrap\": {},", self.bootstrap);
-        out.push_str("  \"records\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"workload\": \"{}\", \"algo\": \"{}\", \"cuts\": {}, \
-                 \"elapsed_ns\": {}, \"cuts_per_sec\": {:.1}, \"peak_frontiers\": {}, \
-                 \"peak_frontier_bytes\": {}, \"allocs\": {}, \"allocs_per_cut\": {:.4}, \
-                 \"rel_throughput\": {:.4}}}",
-                r.workload,
-                r.algo,
-                r.cuts,
-                r.elapsed_ns,
-                r.cuts_per_sec,
-                r.peak_frontiers,
-                r.peak_frontier_bytes,
-                r.allocs,
-                r.allocs_per_cut,
-                r.rel_throughput
-            );
-            out.push_str(if i + 1 < self.records.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let records = self.records.iter().map(|r| {
+            Object::new()
+                .str("workload", &r.workload)
+                .str("algo", &r.algo)
+                .u64("cuts", r.cuts)
+                .u64("elapsed_ns", r.elapsed_ns)
+                .f64("cuts_per_sec", r.cuts_per_sec, 1)
+                .u64("peak_frontiers", r.peak_frontiers)
+                .u64("peak_frontier_bytes", r.peak_frontier_bytes)
+                .u64("allocs", r.allocs)
+                .f64("allocs_per_cut", r.allocs_per_cut, 4)
+                .f64("rel_throughput", r.rel_throughput, 4)
+        });
+        let report = Object::new()
+            .u64("schema", 1)
+            .bool("bootstrap", self.bootstrap)
+            .array("records", ",\n", records);
+        report.finish() + "\n"
     }
 
     /// Parses a report written by [`Report::to_json`] (or hand-edited —
     /// any standard JSON with the same shape).
     pub fn from_json(text: &str) -> Result<Report, String> {
-        let value = parse_json(text)?;
-        let obj = value.as_obj().ok_or("top level is not an object")?;
-        let bootstrap = match find(obj, "bootstrap") {
+        let value = json::parse(text)?;
+        if !matches!(value, Json::Obj(_)) {
+            return Err("top level is not an object".to_string());
+        }
+        let bootstrap = match value.get("bootstrap") {
             Some(Json::Bool(b)) => *b,
             None => false,
             Some(other) => return Err(format!("bootstrap is not a bool: {other:?}")),
         };
-        let records_json = find(obj, "records")
+        let records_json = value
+            .get("records")
             .and_then(Json::as_arr)
             .ok_or("missing records array")?;
         let mut records = Vec::new();
         for rec in records_json {
-            let fields = rec.as_obj().ok_or("record is not an object")?;
-            let str_field = |name: &str| -> Result<String, String> {
-                find(fields, name)
+            let text = |name: &str| -> Result<String, String> {
+                rec.get(name)
                     .and_then(Json::as_str)
                     .map(str::to_string)
                     .ok_or_else(|| format!("record missing string `{name}`"))
             };
-            let num_field = |name: &str| -> Result<f64, String> {
-                find(fields, name)
-                    .and_then(Json::as_num)
+            let count = |name: &str| -> Result<u64, String> {
+                rec.get(name)
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("record missing count `{name}`"))
+            };
+            let ratio = |name: &str| -> Result<f64, String> {
+                rec.get(name)
+                    .and_then(Json::as_f64)
                     .ok_or_else(|| format!("record missing number `{name}`"))
             };
             records.push(Record {
-                workload: str_field("workload")?,
-                algo: str_field("algo")?,
-                cuts: num_field("cuts")? as u64,
-                elapsed_ns: num_field("elapsed_ns")? as u64,
-                cuts_per_sec: num_field("cuts_per_sec")?,
-                peak_frontiers: num_field("peak_frontiers")? as u64,
-                peak_frontier_bytes: num_field("peak_frontier_bytes")? as u64,
-                allocs: num_field("allocs")? as u64,
-                allocs_per_cut: num_field("allocs_per_cut")?,
-                rel_throughput: num_field("rel_throughput")?,
+                workload: text("workload")?,
+                algo: text("algo")?,
+                cuts: count("cuts")?,
+                elapsed_ns: count("elapsed_ns")?,
+                cuts_per_sec: ratio("cuts_per_sec")?,
+                peak_frontiers: count("peak_frontiers")?,
+                peak_frontier_bytes: count("peak_frontier_bytes")?,
+                allocs: count("allocs")?,
+                allocs_per_cut: ratio("allocs_per_cut")?,
+                rel_throughput: ratio("rel_throughput")?,
             });
         }
         Ok(Report { bootstrap, records })
@@ -289,209 +284,6 @@ pub fn compare(current: &Report, baseline: &Report, tolerance: f64) -> Vec<Strin
     failures
 }
 
-/// A parsed JSON value. Only what the baseline reader needs — numbers
-/// are `f64` (every gated integer fits well inside the 2^53 mantissa).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number literal.
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-fn find<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// Parses one JSON document. Recursive descent over bytes; no external
-/// dependencies (the bench crate must not grow a serde edge for one
-/// baseline file).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&ch) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {}", ch as char, *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("bad keyword at byte {}", *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    other => return Err(format!("unsupported escape {other:?}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy a maximal run of plain bytes (UTF-8 passes through
-                // untouched).
-                let start = *pos;
-                while *pos < bytes.len() && bytes[*pos] != b'"' && bytes[*pos] != b'\\' {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
-            }
-        }
-    }
-}
-
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut pairs = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(pairs));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        pairs.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,24 +315,6 @@ mod tests {
         assert_eq!(parsed.records[0].workload, "w10-wide");
         assert_eq!(parsed.records[1].peak_frontiers, 1);
         assert_eq!(parsed.records[0].cuts, 1000);
-    }
-
-    #[test]
-    fn parser_handles_nesting_escapes_and_rejects_garbage() {
-        let v = parse_json(r#"{"a": [1, -2.5e3, "x\"y"], "b": {"c": null}}"#).unwrap();
-        let Json::Obj(pairs) = v else { panic!() };
-        assert_eq!(pairs[0].0, "a");
-        assert_eq!(
-            pairs[0].1,
-            Json::Arr(vec![
-                Json::Num(1.0),
-                Json::Num(-2500.0),
-                Json::Str("x\"y".to_string())
-            ])
-        );
-        assert!(parse_json("{\"a\": }").is_err());
-        assert!(parse_json("[1, 2] extra").is_err());
-        assert!(parse_json("").is_err());
     }
 
     #[test]

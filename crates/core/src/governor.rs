@@ -26,6 +26,7 @@
 //! [`ParaMetrics::backpressure_promotions`]:
 //!     crate::metrics::ParaMetrics::backpressure_promotions
 
+use crate::metrics::stat_line;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -263,34 +264,33 @@ pub struct BudgetSnapshot {
 }
 
 impl BudgetSnapshot {
-    /// One JSON object line in the metrics vocabulary (same shape as the
-    /// gauge lines of
-    /// [`MetricsSnapshot`](crate::metrics::MetricsSnapshot)).
+    /// The `metric` of [`BudgetSnapshot::to_json_line`] — what the fleet
+    /// router's probe looks for in a shard's STATS reply.
+    pub const METRIC: &'static str = "memory_budget";
+
+    /// One JSON object line in the metrics vocabulary (a gauge line of
+    /// [`MetricsSnapshot`](crate::metrics::MetricsSnapshot) with the
+    /// account's other totals and its configured watermarks appended).
     pub fn to_json_line(&self, label: &str) -> String {
-        let mut out = format!(
-            "{{\"label\":\"{}\",\"metric\":\"memory_budget\",\"type\":\"gauge\",\"value\":{},\"high_water\":{},\"retained\":{}",
-            label.replace('\\', "\\\\").replace('"', "\\\""),
-            self.spill_bytes,
-            self.spill_bytes_high_water,
-            self.retained_bytes,
-        );
+        let mut line = stat_line(label, Self::METRIC, "gauge")
+            .u64("value", self.spill_bytes)
+            .u64("high_water", self.spill_bytes_high_water)
+            .u64("retained", self.retained_bytes);
         if self.disk_spill_bytes_high_water > 0 || self.disk_watermark.is_some() {
-            out.push_str(&format!(
-                ",\"disk\":{},\"disk_high_water\":{}",
-                self.disk_spill_bytes, self.disk_spill_bytes_high_water
-            ));
+            line = line
+                .u64("disk", self.disk_spill_bytes)
+                .u64("disk_high_water", self.disk_spill_bytes_high_water);
         }
-        if let Some(cap) = self.disk_watermark {
-            out.push_str(&format!(",\"disk_cap\":{cap}"));
+        for (key, watermark) in [
+            ("disk_cap", self.disk_watermark),
+            ("soft", self.soft_watermark),
+            ("hard", self.hard_watermark),
+        ] {
+            if let Some(bytes) = watermark {
+                line = line.u64(key, bytes);
+            }
         }
-        if let Some(soft) = self.soft_watermark {
-            out.push_str(&format!(",\"soft\":{soft}"));
-        }
-        if let Some(hard) = self.hard_watermark {
-            out.push_str(&format!(",\"hard\":{hard}"));
-        }
-        out.push('}');
-        out
+        line.finish()
     }
 }
 

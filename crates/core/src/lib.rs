@@ -45,6 +45,7 @@ pub mod exec;
 pub mod faults;
 pub mod governor;
 pub mod interval;
+pub mod json;
 pub mod metrics;
 pub mod offline;
 pub mod online;

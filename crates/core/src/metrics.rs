@@ -1,26 +1,44 @@
-//! **ParaMetrics** — the observability layer of both execution modes.
+//! **ParaMetrics** — the observability layer of both execution modes, of
+//! the ingestion daemon and of the fleet router.
 //!
-//! Every quantity the ROADMAP's "heavy traffic" goal needs to watch is an
-//! atomic cell in one [`ParaMetrics`] registry: how many events were
-//! inserted, how many intervals were dispatched / completed / spilled /
-//! rejected, how many cuts came out, how skewed the per-interval work is
-//! (the log₂ histogram that Rayon's work stealing flattens offline and the
-//! online worker pool must absorb live), how long the insertion critical
-//! section holds its mutex, how deep the dispatch queue gets, and how busy
-//! each enumeration worker is.
+//! Every instrument is declared **once**, as one row of one of three
+//! tables ([`ParaMetrics`], [`IngestMetrics`], [`FleetMetrics`]):
 //!
-//! Design constraints, in order:
+//! ```text
+//! /// doc comment: the field's documentation and the row's help text
+//! Kind name [/ high_water_field], text;
+//! ```
 //!
-//! 1. **Never perturb the hot path.** Counters touched per *cut* are
-//!    sharded across cache lines ([`ShardedCounter`]); everything touched
-//!    per *interval* or per *event* is a single relaxed atomic op.
-//! 2. **No new dependencies.** Histograms are fixed arrays of atomics with
-//!    log₂ bucketing; the JSON-lines writer is hand-rolled (§ the CI gate
-//!    builds with exactly the seed dependency set).
-//! 3. **Snapshots are plain data.** [`MetricsSnapshot`] is `Clone + Eq`
-//!    and owns everything, so reports outlive the engine and can be
-//!    diffed in tests.
+//! * `Kind` is `Counter` ([`ShardedCounter`]), `Gauge` or `HighWater`
+//!   ([`HighWaterGauge`]; only `HighWater` reports its mark) or `Histogram`
+//!   ([`Log2Histogram`]); a row's [`MetricValue`] tells them apart.
+//! * `name` is the registry field, the snapshot field and the `metric` of
+//!   the JSON line. `/ high_water_field` names the snapshot field holding
+//!   a gauge's mark; on a plain `Gauge` the mark is folded into the
+//!   snapshot and shown in no report.
+//! * `text` is the row's line in the human report ([`text`]), or `None`
+//!   when it has no line of its own: the row is JSON-only, or one of the
+//!   composite lines written out in the snapshot's `render_text` (`auto
+//!   dispatch`, `disk spill bytes`, `shards`, the lease block, histogram
+//!   summaries) covers it.
+//!
+//! From a table the macro derives the registry struct, its snapshot
+//! struct, `snapshot()`, `ROWS` and `values()`; **adding a metric is adding
+//! one row**. An exposition is one function over `ROWS` zipped with
+//! `values()` — [`json_report`] and [`text_report`] are the two that exist.
+//! Rows are declared in JSON-lines order; the text report sorts by
+//! [`TextLine::at`]. A JSON line is `{"label":…,"metric":…,"type":…`
+//! followed by `value` (counter), `value` and `high_water` (gauge), or
+//! `count`, `sum`, `max`, `p50`, `p99`, `buckets` (histogram).
+//!
+//! Registries stay plain structs of named instruments, so a recording site
+//! is one field access and one relaxed atomic op (sharded across cache
+//! lines for what is touched per *cut*); the table is walked only when a
+//! report is rendered. Snapshots are plain data (`Clone + Eq`, owning
+//! everything), so reports outlive the engine and can be diffed in tests.
+//! DESIGN §5c argues the choices.
 
+use crate::json;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Number of shards in a [`ShardedCounter`]. Eight 64-byte lines absorb
@@ -267,192 +285,6 @@ impl WorkerTally {
     }
 }
 
-/// The registry: every instrument both engines record into.
-///
-/// One registry is shared per engine run (`Arc` between the engine, its
-/// workers and any live observer); [`ParaMetrics::snapshot`] folds it
-/// into plain data at any time — the folded totals are exact once the
-/// writers have quiesced (after `finish`/`enumerate` returns).
-#[derive(Debug)]
-pub struct ParaMetrics {
-    /// Events inserted into the (online) poset.
-    pub events_inserted: ShardedCounter,
-    /// Intervals handed to the worker pool (or the Rayon scheduler).
-    pub intervals_dispatched: ShardedCounter,
-    /// Intervals fully enumerated.
-    pub intervals_completed: ShardedCounter,
-    /// Intervals diverted to the overflow deque
-    /// ([`BackpressurePolicy::SpillToDeque`]).
-    ///
-    /// [`BackpressurePolicy::SpillToDeque`]: crate::online::BackpressurePolicy::SpillToDeque
-    pub intervals_spilled: ShardedCounter,
-    /// Intervals dropped at dispatch ([`BackpressurePolicy::Fail`] with a
-    /// saturated queue) — any nonzero value means the cut count is not
-    /// Theorem-2 complete and the report says so.
-    ///
-    /// [`BackpressurePolicy::Fail`]: crate::online::BackpressurePolicy::Fail
-    pub intervals_rejected: ShardedCounter,
-    /// Cuts emitted to the sink.
-    pub cuts_emitted: ShardedCounter,
-    /// Worker panics contained at the per-interval `catch_unwind`
-    /// boundary (sink/predicate panics and injected faults alike).
-    pub worker_panics: ShardedCounter,
-    /// Intervals abandoned into the [`FaultLog`] after a contained
-    /// panic (or an injected dispatch fault) — any nonzero value means
-    /// the run is [`Outcome::Degraded`] and the report says so.
-    ///
-    /// [`FaultLog`]: crate::faults::FaultLog
-    /// [`Outcome::Degraded`]: crate::faults::Outcome::Degraded
-    pub intervals_quarantined: ShardedCounter,
-    /// Intervals re-run after a panic that emitted zero cuts (the one
-    /// bounded retry before quarantine).
-    pub intervals_retried: ShardedCounter,
-    /// Worker bodies restarted by the supervisor after an escaped panic.
-    pub worker_restarts: ShardedCounter,
-    /// Worker threads that could not be spawned at engine construction
-    /// (the engine degrades to the workers that did start).
-    pub worker_spawn_failures: ShardedCounter,
-    /// `Algorithm::Auto` resolutions that picked the space-efficient
-    /// leveled walk (big/wide intervals, or any interval under memory
-    /// pressure).
-    pub intervals_auto_leveled: ShardedCounter,
-    /// `Algorithm::Auto` resolutions that picked the lexical scan (small
-    /// intervals with no pressure signal).
-    pub intervals_auto_lexical: ShardedCounter,
-    /// Distribution of cut counts per interval — the work-skew instrument
-    /// (Figure 10/11's load-balance story, measured instead of assumed).
-    pub interval_cuts: Log2Histogram,
-    /// Nanoseconds spent inside the insertion critical section (clock
-    /// bookkeeping + snapshot under the poset mutex — Algorithm 4's
-    /// atomic block).
-    pub insert_critical_ns: Log2Histogram,
-    /// `SpillToDeque` submissions promoted to blocking because the
-    /// memory budget crossed its soft watermark
-    /// ([`MemoryBudget`](crate::governor::MemoryBudget)).
-    pub backpressure_promotions: ShardedCounter,
-    /// In-flight intervals preempted by the watchdog (deadline expiry) —
-    /// each was then either split or quarantined.
-    pub intervals_preempted: ShardedCounter,
-    /// Preempted intervals split into two sub-intervals and rescheduled
-    /// (each split re-dispatches both halves).
-    pub intervals_split: ShardedCounter,
-    /// Scans performed by the watchdog thread.
-    pub watchdog_wakeups: ShardedCounter,
-    /// Coalesced tiny-interval batches sent to the streaming dispatch
-    /// queue — each batch carries many consecutive small intervals in one
-    /// channel slot, so wide-but-shallow posets pay the channel overhead
-    /// once per batch instead of once per interval.
-    pub queue_batches: ShardedCounter,
-    /// Dispatch-queue depth in intervals (current + high-water mark).
-    pub queue_depth: HighWaterGauge,
-    /// Bytes currently held in the packed spill deque (current +
-    /// high-water mark) — this engine's contribution to the shared
-    /// memory budget.
-    pub spill_bytes: HighWaterGauge,
-    /// Bytes of packed intervals resident in the on-disk cold tier
-    /// (current + high-water mark) — the durable relief valve that the
-    /// governor's `Pressure` deliberately does not count.
-    pub disk_spill_bytes: HighWaterGauge,
-    /// Cold batches written to the disk tier (each batch freezes the
-    /// whole hot spill deque at that moment).
-    pub disk_spill_batches: ShardedCounter,
-    workers: Box<[WorkerTally]>,
-}
-
-impl ParaMetrics {
-    /// A registry with `workers` per-worker tally slots (0 is fine for
-    /// offline runs that only want counters and histograms).
-    pub fn new(workers: usize) -> Self {
-        ParaMetrics {
-            events_inserted: ShardedCounter::new(),
-            intervals_dispatched: ShardedCounter::new(),
-            intervals_completed: ShardedCounter::new(),
-            intervals_spilled: ShardedCounter::new(),
-            intervals_rejected: ShardedCounter::new(),
-            cuts_emitted: ShardedCounter::new(),
-            worker_panics: ShardedCounter::new(),
-            intervals_quarantined: ShardedCounter::new(),
-            intervals_retried: ShardedCounter::new(),
-            worker_restarts: ShardedCounter::new(),
-            worker_spawn_failures: ShardedCounter::new(),
-            backpressure_promotions: ShardedCounter::new(),
-            intervals_preempted: ShardedCounter::new(),
-            intervals_split: ShardedCounter::new(),
-            watchdog_wakeups: ShardedCounter::new(),
-            queue_batches: ShardedCounter::new(),
-            intervals_auto_leveled: ShardedCounter::new(),
-            intervals_auto_lexical: ShardedCounter::new(),
-            interval_cuts: Log2Histogram::new(),
-            insert_critical_ns: Log2Histogram::new(),
-            queue_depth: HighWaterGauge::new(),
-            spill_bytes: HighWaterGauge::new(),
-            disk_spill_bytes: HighWaterGauge::new(),
-            disk_spill_batches: ShardedCounter::new(),
-            workers: (0..workers).map(|_| WorkerTally::default()).collect(),
-        }
-    }
-
-    /// The tally slot of worker `index` (clamped into range so offline
-    /// callers with an unknown pool size can still record). A registry
-    /// built with zero slots discards the recording.
-    pub fn worker(&self, index: usize) -> &WorkerTally {
-        if self.workers.is_empty() {
-            static DISCARD: WorkerTally = WorkerTally {
-                busy_ns: AtomicU64::new(0),
-                idle_ns: AtomicU64::new(0),
-                intervals: AtomicU64::new(0),
-            };
-            return &DISCARD;
-        }
-        &self.workers[index % self.workers.len()]
-    }
-
-    /// Number of worker tally slots.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Folds every instrument into an owned [`MetricsSnapshot`].
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            events_inserted: self.events_inserted.sum(),
-            intervals_dispatched: self.intervals_dispatched.sum(),
-            intervals_completed: self.intervals_completed.sum(),
-            intervals_spilled: self.intervals_spilled.sum(),
-            intervals_rejected: self.intervals_rejected.sum(),
-            cuts_emitted: self.cuts_emitted.sum(),
-            worker_panics: self.worker_panics.sum(),
-            intervals_quarantined: self.intervals_quarantined.sum(),
-            intervals_retried: self.intervals_retried.sum(),
-            worker_restarts: self.worker_restarts.sum(),
-            worker_spawn_failures: self.worker_spawn_failures.sum(),
-            backpressure_promotions: self.backpressure_promotions.sum(),
-            intervals_preempted: self.intervals_preempted.sum(),
-            intervals_split: self.intervals_split.sum(),
-            watchdog_wakeups: self.watchdog_wakeups.sum(),
-            queue_batches: self.queue_batches.sum(),
-            intervals_auto_leveled: self.intervals_auto_leveled.sum(),
-            intervals_auto_lexical: self.intervals_auto_lexical.sum(),
-            interval_cuts: self.interval_cuts.snapshot(),
-            insert_critical_ns: self.insert_critical_ns.snapshot(),
-            queue_depth: self.queue_depth.get(),
-            queue_depth_high_water: self.queue_depth.high_water(),
-            spill_bytes: self.spill_bytes.get(),
-            spill_bytes_high_water: self.spill_bytes.high_water(),
-            disk_spill_bytes: self.disk_spill_bytes.get(),
-            disk_spill_bytes_high_water: self.disk_spill_bytes.high_water(),
-            disk_spill_batches: self.disk_spill_batches.sum(),
-            workers: self.workers.iter().map(WorkerTally::snapshot).collect(),
-        }
-    }
-}
-
-impl Default for ParaMetrics {
-    fn default() -> Self {
-        ParaMetrics::new(0)
-    }
-}
-
 /// Owned, comparable snapshot of a [`Log2Histogram`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -550,315 +382,353 @@ impl WorkerSnapshot {
     }
 }
 
-/// Plain-data snapshot of a whole [`ParaMetrics`] registry.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Events inserted.
-    pub events_inserted: u64,
-    /// Intervals dispatched to workers.
-    pub intervals_dispatched: u64,
-    /// Intervals fully enumerated.
-    pub intervals_completed: u64,
-    /// Intervals diverted to the overflow deque.
-    pub intervals_spilled: u64,
-    /// Intervals dropped by the `Fail` backpressure policy.
-    pub intervals_rejected: u64,
-    /// Cuts emitted.
-    pub cuts_emitted: u64,
-    /// Worker panics contained at the per-interval boundary.
-    pub worker_panics: u64,
-    /// Intervals quarantined into the fault log.
-    pub intervals_quarantined: u64,
-    /// Intervals retried after a zero-emission panic.
-    pub intervals_retried: u64,
-    /// Worker bodies restarted by the supervisor.
-    pub worker_restarts: u64,
-    /// Worker threads that failed to spawn (engine degraded).
-    pub worker_spawn_failures: u64,
-    /// Spill submissions promoted to blocking by the soft watermark.
-    pub backpressure_promotions: u64,
-    /// In-flight intervals preempted on deadline expiry.
-    pub intervals_preempted: u64,
-    /// Preempted intervals split and rescheduled.
-    pub intervals_split: u64,
-    /// Watchdog scan passes.
-    pub watchdog_wakeups: u64,
-    /// Coalesced tiny-interval batches sent to the dispatch queue.
-    pub queue_batches: u64,
-    /// `auto` resolutions that took the leveled walk.
-    pub intervals_auto_leveled: u64,
-    /// `auto` resolutions that took the lexical scan.
-    pub intervals_auto_lexical: u64,
-    /// Per-interval cut-count distribution.
-    pub interval_cuts: HistogramSnapshot,
-    /// Insertion critical-section time distribution (ns).
-    pub insert_critical_ns: HistogramSnapshot,
-    /// Queue depth at snapshot time.
-    pub queue_depth: u64,
-    /// Queue depth high-water mark.
-    pub queue_depth_high_water: u64,
-    /// Packed spill-deque bytes at snapshot time.
-    pub spill_bytes: u64,
-    /// Largest packed spill-deque size ever held — the "did the memory
-    /// cap hold" number of the overload governor.
-    pub spill_bytes_high_water: u64,
-    /// Packed interval bytes resident on disk at snapshot time.
-    pub disk_spill_bytes: u64,
-    /// Largest on-disk cold tier ever held — nonzero means the run
-    /// exceeded RAM and survived by spilling instead of shedding.
-    pub disk_spill_bytes_high_water: u64,
-    /// Cold batches written to the disk tier.
-    pub disk_spill_batches: u64,
-    /// Per-worker busy/idle tallies.
-    pub workers: Vec<WorkerSnapshot>,
+/// A row's line in the human report: `label: value note`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TextLine {
+    /// Position in the report: lines sort by it, ties keep table order.
+    pub at: u8,
+    /// What precedes the colon.
+    pub label: &'static str,
+    /// [`ALWAYS`] printed, or only once the counter (or the gauge's mark)
+    /// is [`NONZERO`].
+    pub always: bool,
+    /// Remark after the value (empty for none).
+    pub note: &'static str,
 }
 
-impl MetricsSnapshot {
-    /// Human-readable multi-line report.
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "events inserted:      {}", self.events_inserted);
-        let _ = writeln!(out, "intervals dispatched: {}", self.intervals_dispatched);
-        let _ = writeln!(out, "intervals completed:  {}", self.intervals_completed);
-        if self.intervals_spilled > 0 {
-            let _ = writeln!(out, "intervals spilled:    {}", self.intervals_spilled);
-        }
-        if self.intervals_rejected > 0 {
-            let _ = writeln!(
-                out,
-                "intervals REJECTED:   {} (Fail policy: cut count is incomplete)",
-                self.intervals_rejected
-            );
-        }
-        if self.worker_panics > 0 {
-            let _ = writeln!(out, "worker panics:        {}", self.worker_panics);
-        }
-        if self.intervals_quarantined > 0 {
-            let _ = writeln!(
-                out,
-                "intervals QUARANTINED: {} (degraded: see fault log for Gmin/Gbnd)",
-                self.intervals_quarantined
-            );
-        }
-        if self.intervals_retried > 0 {
-            let _ = writeln!(out, "intervals retried:    {}", self.intervals_retried);
-        }
-        if self.worker_restarts > 0 {
-            let _ = writeln!(out, "worker restarts:      {}", self.worker_restarts);
-        }
-        if self.worker_spawn_failures > 0 {
-            let _ = writeln!(
-                out,
-                "worker spawn failures: {} (pool degraded)",
-                self.worker_spawn_failures
-            );
-        }
-        if self.backpressure_promotions > 0 {
-            let _ = writeln!(
-                out,
-                "backpressure promotions: {} (soft watermark: spill became blocking)",
-                self.backpressure_promotions
-            );
-        }
-        if self.intervals_preempted > 0 {
-            let _ = writeln!(
-                out,
-                "intervals preempted:  {} (deadline expired mid-interval)",
-                self.intervals_preempted
-            );
-        }
-        if self.intervals_split > 0 {
-            let _ = writeln!(out, "intervals split:      {}", self.intervals_split);
-        }
-        if self.watchdog_wakeups > 0 {
-            let _ = writeln!(out, "watchdog wakeups:     {}", self.watchdog_wakeups);
-        }
-        if self.intervals_auto_leveled + self.intervals_auto_lexical > 0 {
-            let _ = writeln!(
-                out,
-                "auto dispatch:        {} leveled, {} lexical",
-                self.intervals_auto_leveled, self.intervals_auto_lexical
-            );
-        }
-        let _ = writeln!(out, "cuts emitted:         {}", self.cuts_emitted);
-        let _ = writeln!(
-            out,
-            "queue depth:          {} now, {} high-water",
-            self.queue_depth, self.queue_depth_high_water
-        );
-        if self.spill_bytes_high_water > 0 {
-            let _ = writeln!(
-                out,
-                "spill bytes:          {} now, {} high-water",
-                self.spill_bytes, self.spill_bytes_high_water
-            );
-        }
-        if self.disk_spill_bytes_high_water > 0 {
-            let _ = writeln!(
-                out,
-                "disk spill bytes:     {} now, {} high-water ({} batches)",
-                self.disk_spill_bytes, self.disk_spill_bytes_high_water, self.disk_spill_batches
-            );
-        }
-        let _ = writeln!(
-            out,
-            "interval cut counts:  mean {:.1}, p50 <= {}, p99 <= {}, max {}",
-            self.interval_cuts.mean(),
-            self.interval_cuts.quantile_bound(0.5),
-            self.interval_cuts.quantile_bound(0.99),
-            self.interval_cuts.max,
-        );
-        for (lo, hi, count) in self.interval_cuts.nonzero_buckets() {
-            let _ = writeln!(out, "  cuts/interval {lo}..={hi}: {count}");
-        }
-        if self.insert_critical_ns.count() > 0 {
-            let _ = writeln!(
-                out,
-                "insert critical path: mean {:.0} ns, p99 <= {} ns, max {} ns",
-                self.insert_critical_ns.mean(),
-                self.insert_critical_ns.quantile_bound(0.99),
-                self.insert_critical_ns.max,
-            );
-        }
-        for (i, w) in self.workers.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "worker {i}: {} intervals, busy {:.3} ms, idle {:.3} ms ({:.0}% busy)",
-                w.intervals,
-                w.busy_ns as f64 / 1e6,
-                w.idle_ns as f64 / 1e6,
-                w.utilization() * 100.0,
-            );
-        }
-        out
-    }
+/// [`TextLine::always`]: the line is printed even at zero.
+pub const ALWAYS: bool = true;
+/// [`TextLine::always`]: the line appears with the first count.
+pub const NONZERO: bool = false;
 
-    /// Machine-readable report: one JSON object per line (hand-rolled —
-    /// the workspace takes no serialization dependency). `label` tags
-    /// every line so multi-run files (bench sweeps) stay greppable.
-    pub fn to_json_lines(&self, label: &str) -> String {
-        let mut out = String::new();
-        self.write_json_lines(label, &mut out);
-        out
-    }
+/// The `text` column of a row that has a line of its own.
+pub const fn text(
+    at: u8,
+    label: &'static str,
+    always: bool,
+    note: &'static str,
+) -> Option<TextLine> {
+    Some(TextLine {
+        at,
+        label,
+        always,
+        note,
+    })
+}
 
-    /// As [`MetricsSnapshot::to_json_lines`], appending into `out`.
-    pub fn write_json_lines(&self, label: &str, out: &mut String) {
-        use std::fmt::Write as _;
-        let label = json_escape(label);
-        for (name, value) in [
-            ("events_inserted", self.events_inserted),
-            ("intervals_dispatched", self.intervals_dispatched),
-            ("intervals_completed", self.intervals_completed),
-            ("intervals_spilled", self.intervals_spilled),
-            ("intervals_rejected", self.intervals_rejected),
-            ("cuts_emitted", self.cuts_emitted),
-            ("worker_panics", self.worker_panics),
-            ("intervals_quarantined", self.intervals_quarantined),
-            ("intervals_retried", self.intervals_retried),
-            ("worker_restarts", self.worker_restarts),
-            ("worker_spawn_failures", self.worker_spawn_failures),
-            ("backpressure_promotions", self.backpressure_promotions),
-            ("intervals_preempted", self.intervals_preempted),
-            ("intervals_split", self.intervals_split),
-            ("watchdog_wakeups", self.watchdog_wakeups),
-            ("queue_batches", self.queue_batches),
-            ("intervals_auto_leveled", self.intervals_auto_leveled),
-            ("intervals_auto_lexical", self.intervals_auto_lexical),
-            ("disk_spill_batches", self.disk_spill_batches),
-        ] {
-            let _ = writeln!(
-                out,
-                "{{\"label\":\"{label}\",\"metric\":\"{name}\",\"type\":\"counter\",\"value\":{value}}}"
-            );
+/// One declared metric: everything an exposition needs besides the value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MetricRow {
+    /// Field name and JSON `metric`.
+    pub name: &'static str,
+    /// The row's doc comment.
+    pub help: &'static str,
+    /// The row's own line in the text report, if it has one.
+    pub text: Option<TextLine>,
+}
+
+/// A row's folded value, borrowed from a snapshot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MetricValue<'a> {
+    /// Folded counter total.
+    Counter(u64),
+    /// Gauge reading and, for a `HighWater` row, its mark.
+    Gauge(u64, Option<u64>),
+    /// Folded histogram.
+    Histogram(&'a HistogramSnapshot),
+}
+
+/// Per-kind pieces of [`metric_table!`].
+#[rustfmt::skip]
+macro_rules! kind {
+    (@instrument Counter) => { ShardedCounter };
+    (@instrument Histogram) => { Log2Histogram };
+    (@instrument $gauge:ident) => { HighWaterGauge };
+    (@snapshot Histogram) => { HistogramSnapshot };
+    (@snapshot $scalar:ident) => { u64 };
+    (@fold Counter, $field:expr) => { $field.sum() };
+    (@fold Histogram, $field:expr) => { $field.snapshot() };
+    (@fold $gauge:ident, $field:expr) => { $field.get() };
+    (@value Counter, $s:expr, $name:ident) => { MetricValue::Counter($s.$name) };
+    (@value Histogram, $s:expr, $name:ident) => { MetricValue::Histogram(&$s.$name) };
+    (@value Gauge, $s:expr, $name:ident $(, $hw:ident)?) => { MetricValue::Gauge($s.$name, None) };
+    (@value HighWater, $s:expr, $name:ident, $hw:ident) => { MetricValue::Gauge($s.$name, Some($s.$hw)) };
+}
+
+/// Declares a registry and its snapshot from one table (row schema in the
+/// module docs). `extra` carries one field that is not a metric: its
+/// registry type, its snapshot type and the function folding the first
+/// into the second.
+macro_rules! metric_table {
+    (
+        $(#[$registry_doc:meta])* pub struct $Registry:ident =>
+        $(#[$snapshot_doc:meta])* $Snapshot:ident {
+            $( $(#[doc = $doc:literal])+ $kind:ident $name:ident $(/ $hw:ident)?, $text:expr; )*
         }
-        let _ = writeln!(
-            out,
-            "{{\"label\":\"{label}\",\"metric\":\"queue_depth\",\"type\":\"gauge\",\"value\":{},\"high_water\":{}}}",
-            self.queue_depth, self.queue_depth_high_water
-        );
-        let _ = writeln!(
-            out,
-            "{{\"label\":\"{label}\",\"metric\":\"spill_bytes\",\"type\":\"gauge\",\"value\":{},\"high_water\":{}}}",
-            self.spill_bytes, self.spill_bytes_high_water
-        );
-        let _ = writeln!(
-            out,
-            "{{\"label\":\"{label}\",\"metric\":\"disk_spill_bytes\",\"type\":\"gauge\",\"value\":{},\"high_water\":{}}}",
-            self.disk_spill_bytes, self.disk_spill_bytes_high_water
-        );
-        for (name, h) in [
-            ("interval_cuts", &self.interval_cuts),
-            ("insert_critical_ns", &self.insert_critical_ns),
-        ] {
-            let _ = write!(
-                out,
-                "{{\"label\":\"{label}\",\"metric\":\"{name}\",\"type\":\"histogram\",\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p99\":{},\"buckets\":[",
-                h.count(),
-                h.sum,
-                h.max,
-                h.quantile_bound(0.5),
-                h.quantile_bound(0.99),
-            );
-            let mut first = true;
-            for (lo, _, count) in h.nonzero_buckets() {
-                if !first {
-                    out.push(',');
+        $( extra { $(#[$xdoc:meta])* $xname:ident: $xinstrument:ty => $xsnapshot:ty = $xfold:path } )?
+    ) => {
+        $(#[$registry_doc])*
+        #[derive(Debug, Default)]
+        pub struct $Registry {
+            $( $(#[doc = $doc])+ pub $name: kind!(@instrument $kind), )*
+            $( $xname: $xinstrument, )?
+        }
+
+        impl $Registry {
+            /// Folds every instrument into an owned snapshot — exact once
+            /// the writers have quiesced, approximate while they run.
+            pub fn snapshot(&self) -> $Snapshot {
+                $Snapshot {
+                    $( $name: kind!(@fold $kind, self.$name), $( $hw: self.$name.high_water(), )? )*
+                    $( $xname: $xfold(&self.$xname), )?
                 }
-                first = false;
-                let _ = write!(out, "{{\"ge\":{lo},\"count\":{count}}}");
             }
-            out.push_str("]}\n");
         }
-        for (i, w) in self.workers.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{{\"label\":\"{label}\",\"metric\":\"worker\",\"type\":\"worker\",\"index\":{i},\"busy_ns\":{},\"idle_ns\":{},\"intervals\":{}}}",
-                w.busy_ns, w.idle_ns, w.intervals
-            );
+
+        $(#[$snapshot_doc])*
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct $Snapshot {
+            $(
+                $(#[doc = $doc])+
+                pub $name: kind!(@snapshot $kind),
+                $( #[doc = concat!("High-water mark of `", stringify!($name), "`.")] pub $hw: u64, )?
+            )*
+            $( $(#[$xdoc])* pub $xname: $xsnapshot, )?
         }
+
+        impl $Snapshot {
+            /// The registry's table, in JSON-lines order.
+            pub const ROWS: &'static [MetricRow] = &[ $( MetricRow {
+                name: stringify!($name),
+                help: concat!($($doc, "\n"),+).trim_ascii(),
+                text: $text,
+            }, )* ];
+
+            /// This snapshot's values, parallel to [`Self::ROWS`].
+            pub fn values(&self) -> Vec<MetricValue<'_>> {
+                vec![ $( kind!(@value $kind, self, $name $(, $hw)?), )* ]
+            }
+        }
+    };
+}
+
+metric_table! {
+    /// The registry: every instrument both engines record into.
+    ///
+    /// One registry is shared per engine run (`Arc` between the engine, its
+    /// workers and any live observer); [`ParaMetrics::snapshot`] folds it
+    /// into plain data at any time.
+    pub struct ParaMetrics =>
+    /// Plain-data snapshot of a whole [`ParaMetrics`] registry.
+    MetricsSnapshot {
+        /// Events inserted into the (online) poset.
+        Counter events_inserted, text(1, "events inserted", ALWAYS, "");
+        /// Intervals handed to the worker pool (or the Rayon scheduler).
+        Counter intervals_dispatched, text(2, "intervals dispatched", ALWAYS, "");
+        /// Intervals fully enumerated.
+        Counter intervals_completed, text(3, "intervals completed", ALWAYS, "");
+        /// Intervals diverted to the overflow deque.
+        ///
+        /// See [`BackpressurePolicy::SpillToDeque`](crate::online::BackpressurePolicy::SpillToDeque).
+        Counter intervals_spilled, text(4, "intervals spilled", NONZERO, "");
+        /// Intervals dropped at dispatch by the `Fail` backpressure policy.
+        ///
+        /// [`BackpressurePolicy::Fail`](crate::online::BackpressurePolicy::Fail)
+        /// with a saturated queue — any nonzero value means the cut count is
+        /// not Theorem-2 complete and the report says so.
+        Counter intervals_rejected,
+            text(5, "intervals REJECTED", NONZERO, "(Fail policy: cut count is incomplete)");
+        /// Cuts emitted to the sink.
+        Counter cuts_emitted, text(16, "cuts emitted", ALWAYS, "");
+        /// Worker panics contained at the per-interval `catch_unwind` boundary
+        /// (sink/predicate panics and injected faults alike).
+        Counter worker_panics, text(6, "worker panics", NONZERO, "");
+        /// Intervals abandoned into the fault log after a contained panic.
+        ///
+        /// Or after an injected dispatch fault: any nonzero value means the
+        /// run is [`Outcome::Degraded`](crate::faults::Outcome::Degraded) and
+        /// the [`FaultLog`](crate::faults::FaultLog) says which intervals.
+        Counter intervals_quarantined,
+            text(7, "intervals QUARANTINED", NONZERO, "(degraded: see fault log for Gmin/Gbnd)");
+        /// Intervals re-run after a panic that emitted zero cuts (the one
+        /// bounded retry before quarantine).
+        Counter intervals_retried, text(8, "intervals retried", NONZERO, "");
+        /// Worker bodies restarted by the supervisor after an escaped panic.
+        Counter worker_restarts, text(9, "worker restarts", NONZERO, "");
+        /// Worker threads that could not be spawned at engine construction
+        /// (the engine degrades to the workers that did start).
+        Counter worker_spawn_failures, text(10, "worker spawn failures", NONZERO, "(pool degraded)");
+        /// `SpillToDeque` submissions promoted to blocking by the soft watermark
+        /// of the [`MemoryBudget`](crate::governor::MemoryBudget).
+        Counter backpressure_promotions,
+            text(11, "backpressure promotions", NONZERO, "(soft watermark: spill became blocking)");
+        /// In-flight intervals preempted by the watchdog on deadline expiry —
+        /// each was then either split or quarantined.
+        Counter intervals_preempted,
+            text(12, "intervals preempted", NONZERO, "(deadline expired mid-interval)");
+        /// Preempted intervals split into two sub-intervals and rescheduled
+        /// (each split re-dispatches both halves).
+        Counter intervals_split, text(13, "intervals split", NONZERO, "");
+        /// Scans performed by the watchdog thread.
+        Counter watchdog_wakeups, text(14, "watchdog wakeups", NONZERO, "");
+        /// Coalesced tiny-interval batches sent to the streaming dispatch queue.
+        ///
+        /// Each batch carries many consecutive small intervals in one channel
+        /// slot, so wide-but-shallow posets pay the channel overhead once per
+        /// batch instead of once per interval. JSON-only.
+        Counter queue_batches, None;
+        /// `Algorithm::Auto` resolutions that picked the space-efficient leveled
+        /// walk (big/wide intervals, or any interval under memory pressure).
+        Counter intervals_auto_leveled, None;
+        /// `Algorithm::Auto` resolutions that picked the lexical scan (small
+        /// intervals with no pressure signal).
+        Counter intervals_auto_lexical, None;
+        /// Cold batches written to the disk tier (each batch freezes the whole
+        /// hot spill deque at that moment).
+        Counter disk_spill_batches, None;
+        /// Dispatch-queue depth in intervals; the mark is the backpressure
+        /// headline number.
+        HighWater queue_depth / queue_depth_high_water, text(17, "queue depth", ALWAYS, "");
+        /// Bytes held in the packed spill deque.
+        ///
+        /// This engine's contribution to the shared memory budget; the mark is
+        /// the "did the memory cap hold" number of the overload governor.
+        HighWater spill_bytes / spill_bytes_high_water, text(18, "spill bytes", NONZERO, "");
+        /// Bytes of packed intervals resident in the on-disk cold tier.
+        ///
+        /// The durable relief valve that the governor's `Pressure` deliberately
+        /// does not count: a nonzero mark means the run exceeded RAM and
+        /// survived by spilling instead of shedding.
+        HighWater disk_spill_bytes / disk_spill_bytes_high_water, None;
+        /// Distribution of cut counts per interval — the work-skew instrument
+        /// (Figure 10/11's load-balance story, measured instead of assumed).
+        Histogram interval_cuts, None;
+        /// Nanoseconds spent inside the insertion critical section (clock
+        /// bookkeeping + snapshot under the poset mutex — Algorithm 4's atomic
+        /// block).
+        Histogram insert_critical_ns, None;
+    }
+    extra {
+        /// Per-worker busy/idle tallies.
+        workers: Box<[WorkerTally]> => Vec<WorkerSnapshot> = fold_workers
     }
 }
 
-/// Daemon-side instruments of the streaming ingestion layer (`paramount
-/// serve`): one registry per daemon, shared by every connection thread.
-///
-/// These sit in the same module as [`ParaMetrics`] deliberately — they use
-/// the same sharded-atomic primitives, the same snapshot discipline, and
-/// the same hand-rolled text/JSON renderers, so `paramount stats` can
-/// cover a running daemon with the exact vocabulary it uses for a single
-/// enumeration run.
-#[derive(Debug, Default)]
-pub struct IngestMetrics {
-    /// Sessions accepted and registered (`HELLO` succeeded).
-    pub sessions_opened: ShardedCounter,
-    /// Sessions refused (capacity, limits, or a malformed `HELLO`).
-    pub sessions_rejected: ShardedCounter,
-    /// Sessions finalized with a complete `END` handshake.
-    pub sessions_completed: ShardedCounter,
-    /// Sessions finalized early (disconnect, limit, timeout, shutdown).
-    pub sessions_aborted: ShardedCounter,
-    /// Sessions whose connection thread panicked and was finalized to a
-    /// `Fault` report by the containment boundary (subset of aborted).
-    pub sessions_faulted: ShardedCounter,
-    /// Wire frames decoded successfully (all kinds, all sessions).
-    pub frames_decoded: ShardedCounter,
-    /// Lines that failed to decode or violated the session state machine.
-    pub decode_errors: ShardedCounter,
-    /// Raw bytes read off accepted connections.
-    pub bytes_in: ShardedCounter,
-    /// Concurrently live sessions (current + high-water mark).
-    pub active_sessions: HighWaterGauge,
-    /// Checkpoint records written to session WALs (each one compacts
-    /// its store, superseding every earlier segment).
-    pub checkpoint_writes: ShardedCounter,
-    /// Sessions rebuilt from a durable store after a restart (boot scan
-    /// or lazy `RESUME` recovery).
-    pub sessions_recovered: ShardedCounter,
-    /// Live WAL segment files across all durable sessions (current +
-    /// high-water mark).
-    pub wal_segments: HighWaterGauge,
+fn fold_workers(workers: &[WorkerTally]) -> Vec<WorkerSnapshot> {
+    workers.iter().map(WorkerTally::snapshot).collect()
+}
+
+impl ParaMetrics {
+    /// A registry with `workers` per-worker tally slots (0 is fine for
+    /// offline runs that only want counters and histograms).
+    pub fn new(workers: usize) -> Self {
+        ParaMetrics {
+            workers: (0..workers).map(|_| WorkerTally::default()).collect(),
+            ..Self::default()
+        }
+    }
+
+    /// The tally slot of worker `index` (clamped into range so offline
+    /// callers with an unknown pool size can still record). A registry
+    /// built with zero slots discards the recording.
+    pub fn worker(&self, index: usize) -> &WorkerTally {
+        if self.workers.is_empty() {
+            static DISCARD: WorkerTally = WorkerTally {
+                busy_ns: AtomicU64::new(0),
+                idle_ns: AtomicU64::new(0),
+                intervals: AtomicU64::new(0),
+            };
+            return &DISCARD;
+        }
+        &self.workers[index % self.workers.len()]
+    }
+
+    /// Number of worker tally slots.
+    pub fn num_workers(&self) -> usize {
+        self.workers.len()
+    }
+}
+
+metric_table! {
+    /// Daemon-side instruments of the streaming ingestion layer (`paramount
+    /// serve`): one registry per daemon, shared by every connection thread.
+    ///
+    /// It sits beside [`ParaMetrics`] deliberately — same primitives, same
+    /// table, same renderers — so `paramount stats` covers a running
+    /// daemon with the vocabulary it uses for a single enumeration run.
+    pub struct IngestMetrics =>
+    /// Plain-data snapshot of an [`IngestMetrics`] registry.
+    IngestSnapshot {
+        /// Sessions accepted and registered (`HELLO` succeeded).
+        Counter sessions_opened, text(1, "sessions opened", ALWAYS, "");
+        /// Sessions refused (capacity, limits, or a malformed `HELLO`).
+        Counter sessions_rejected, text(2, "sessions rejected", NONZERO, "");
+        /// Sessions finalized with a complete `END` handshake.
+        Counter sessions_completed, text(3, "sessions completed", ALWAYS, "");
+        /// Sessions finalized early (disconnect, limit, timeout, shutdown).
+        Counter sessions_aborted, text(4, "sessions aborted", NONZERO, "");
+        /// Sessions whose connection thread panicked and was finalized to a
+        /// `Fault` report by the containment boundary (subset of aborted).
+        Counter sessions_faulted, text(5, "sessions FAULTED", NONZERO, "");
+        /// Wire frames decoded successfully (all kinds, all sessions).
+        Counter frames_decoded, text(10, "frames decoded", ALWAYS, "");
+        /// Lines that failed to decode or violated the session state machine.
+        Counter decode_errors, text(11, "decode errors", NONZERO, "");
+        /// Raw bytes read off accepted connections.
+        Counter bytes_in, text(12, "bytes in", ALWAYS, "");
+        /// Checkpoint records written to session WALs (each one compacts its
+        /// store, superseding every earlier segment).
+        Counter checkpoint_writes, text(8, "checkpoint writes", NONZERO, "");
+        /// Sessions rebuilt from a durable store after a restart (boot scan or
+        /// lazy `RESUME` recovery).
+        Counter sessions_recovered, text(7, "sessions recovered", NONZERO, "");
+        /// Concurrently live sessions.
+        HighWater active_sessions / active_sessions_high_water,
+            text(6, "sessions active", ALWAYS, "");
+        /// Live WAL segment files across all durable sessions.
+        HighWater wal_segments / wal_segments_high_water, text(9, "wal segments", NONZERO, "");
+    }
+}
+
+metric_table! {
+    /// Router-side instruments of a `paramount fleet`: shard health, routing
+    /// decisions, and failover/migration accounting. One registry per
+    /// router, shared by the accept loop and the prober thread.
+    pub struct FleetMetrics =>
+    /// Plain-data snapshot of a [`FleetMetrics`] registry.
+    FleetSnapshot {
+        /// Health probes attempted (every shard, every prober sweep).
+        Counter probes, text(10, "probes", ALWAYS, "");
+        /// Probes that failed (connect refused, deadline, bad reply).
+        Counter probe_failures, text(11, "probe failures", NONZERO, "");
+        /// `ROUTE` requests answered with a shard assignment.
+        Counter sessions_routed, text(2, "sessions routed", ALWAYS, "");
+        /// Durable sessions re-homed from a dead shard to a survivor.
+        Counter sessions_migrated, text(5, "sessions migrated", NONZERO, "");
+        /// Up/Suspect → Down transitions (each triggers a migration sweep).
+        Counter failovers, text(4, "failovers", NONZERO, "");
+        /// `ROUTE` requests rejected with `ERR busy` because every live shard
+        /// was at or past its hard pressure watermark.
+        Counter routes_rejected, text(3, "routes rejected", NONZERO, "");
+        /// Lease grants acknowledged by shards (initial grants and renewals).
+        Counter leases_granted, None;
+        /// Leases the router declared expired (shard unreachable past TTL).
+        Counter lease_expiries, text(7, "lease expiries", NONZERO, "");
+        /// Shards declared fenced (lease expired; sessions may migrate).
+        Counter shards_fenced, text(8, "shards fenced", NONZERO, "");
+        /// Fenced or restarted shards re-admitted under a fresh epoch.
+        Counter shards_rejoined, text(9, "shards rejoined", NONZERO, "");
+        /// Shards currently `Up`.
+        Gauge shards_up, None;
+        /// Shards currently `Suspect`.
+        Gauge shards_suspect, None;
+        /// Shards currently `Down`; the mark is folded but shown in no report.
+        Gauge shards_down / shards_down_high_water, None;
+        /// Highest fencing epoch the router has granted to any shard.
+        Gauge fencing_epoch, None;
+        /// Round-trip latency of successful STATS probes, in microseconds.
+        Histogram probe_latency_us, None;
+    }
 }
 
 impl IngestMetrics {
@@ -866,177 +736,6 @@ impl IngestMetrics {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Folds every instrument into an owned [`IngestSnapshot`].
-    pub fn snapshot(&self) -> IngestSnapshot {
-        IngestSnapshot {
-            sessions_opened: self.sessions_opened.sum(),
-            sessions_rejected: self.sessions_rejected.sum(),
-            sessions_completed: self.sessions_completed.sum(),
-            sessions_aborted: self.sessions_aborted.sum(),
-            sessions_faulted: self.sessions_faulted.sum(),
-            frames_decoded: self.frames_decoded.sum(),
-            decode_errors: self.decode_errors.sum(),
-            bytes_in: self.bytes_in.sum(),
-            active_sessions: self.active_sessions.get(),
-            active_sessions_high_water: self.active_sessions.high_water(),
-            checkpoint_writes: self.checkpoint_writes.sum(),
-            sessions_recovered: self.sessions_recovered.sum(),
-            wal_segments: self.wal_segments.get(),
-            wal_segments_high_water: self.wal_segments.high_water(),
-        }
-    }
-}
-
-/// Plain-data snapshot of an [`IngestMetrics`] registry.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct IngestSnapshot {
-    /// Sessions accepted and registered.
-    pub sessions_opened: u64,
-    /// Sessions refused.
-    pub sessions_rejected: u64,
-    /// Sessions that completed the `END` handshake.
-    pub sessions_completed: u64,
-    /// Sessions finalized early.
-    pub sessions_aborted: u64,
-    /// Sessions finalized by the panic-containment boundary.
-    pub sessions_faulted: u64,
-    /// Frames decoded.
-    pub frames_decoded: u64,
-    /// Decode/state errors.
-    pub decode_errors: u64,
-    /// Bytes read.
-    pub bytes_in: u64,
-    /// Live sessions at snapshot time.
-    pub active_sessions: u64,
-    /// Most sessions ever live at once.
-    pub active_sessions_high_water: u64,
-    /// Checkpoint records written (each compacts a session store).
-    pub checkpoint_writes: u64,
-    /// Sessions rebuilt from a durable store after a restart.
-    pub sessions_recovered: u64,
-    /// Live WAL segment files at snapshot time.
-    pub wal_segments: u64,
-    /// Most WAL segments ever live at once.
-    pub wal_segments_high_water: u64,
-}
-
-impl IngestSnapshot {
-    /// Human-readable multi-line report (same style as
-    /// [`MetricsSnapshot::render_text`]).
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "sessions opened:      {}", self.sessions_opened);
-        if self.sessions_rejected > 0 {
-            let _ = writeln!(out, "sessions rejected:    {}", self.sessions_rejected);
-        }
-        let _ = writeln!(out, "sessions completed:   {}", self.sessions_completed);
-        if self.sessions_aborted > 0 {
-            let _ = writeln!(out, "sessions aborted:     {}", self.sessions_aborted);
-        }
-        if self.sessions_faulted > 0 {
-            let _ = writeln!(out, "sessions FAULTED:     {}", self.sessions_faulted);
-        }
-        let _ = writeln!(
-            out,
-            "sessions active:      {} now, {} high-water",
-            self.active_sessions, self.active_sessions_high_water
-        );
-        if self.sessions_recovered > 0 {
-            let _ = writeln!(out, "sessions recovered:   {}", self.sessions_recovered);
-        }
-        if self.checkpoint_writes > 0 {
-            let _ = writeln!(out, "checkpoint writes:    {}", self.checkpoint_writes);
-        }
-        if self.wal_segments_high_water > 0 {
-            let _ = writeln!(
-                out,
-                "wal segments:         {} now, {} high-water",
-                self.wal_segments, self.wal_segments_high_water
-            );
-        }
-        let _ = writeln!(out, "frames decoded:       {}", self.frames_decoded);
-        if self.decode_errors > 0 {
-            let _ = writeln!(out, "decode errors:        {}", self.decode_errors);
-        }
-        let _ = writeln!(out, "bytes in:             {}", self.bytes_in);
-        out
-    }
-
-    /// Machine-readable report: one JSON object per line, same shape as
-    /// [`MetricsSnapshot::to_json_lines`].
-    pub fn to_json_lines(&self, label: &str) -> String {
-        use std::fmt::Write as _;
-        let label = json_escape(label);
-        let mut out = String::new();
-        for (name, value) in [
-            ("sessions_opened", self.sessions_opened),
-            ("sessions_rejected", self.sessions_rejected),
-            ("sessions_completed", self.sessions_completed),
-            ("sessions_aborted", self.sessions_aborted),
-            ("sessions_faulted", self.sessions_faulted),
-            ("frames_decoded", self.frames_decoded),
-            ("decode_errors", self.decode_errors),
-            ("bytes_in", self.bytes_in),
-            ("checkpoint_writes", self.checkpoint_writes),
-            ("sessions_recovered", self.sessions_recovered),
-        ] {
-            let _ = writeln!(
-                out,
-                "{{\"label\":\"{label}\",\"metric\":\"{name}\",\"type\":\"counter\",\"value\":{value}}}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{{\"label\":\"{label}\",\"metric\":\"active_sessions\",\"type\":\"gauge\",\"value\":{},\"high_water\":{}}}",
-            self.active_sessions, self.active_sessions_high_water
-        );
-        let _ = writeln!(
-            out,
-            "{{\"label\":\"{label}\",\"metric\":\"wal_segments\",\"type\":\"gauge\",\"value\":{},\"high_water\":{}}}",
-            self.wal_segments, self.wal_segments_high_water
-        );
-        out
-    }
-}
-
-/// Router-side instruments of a `paramount fleet`: shard health, routing
-/// decisions, and failover/migration accounting. One registry per
-/// router, shared by the accept loop and the prober thread.
-#[derive(Debug, Default)]
-pub struct FleetMetrics {
-    /// Health probes attempted (every shard, every prober sweep).
-    pub probes: ShardedCounter,
-    /// Probes that failed (connect refused, deadline, bad reply).
-    pub probe_failures: ShardedCounter,
-    /// `ROUTE` requests answered with a shard assignment.
-    pub sessions_routed: ShardedCounter,
-    /// Durable sessions re-homed from a dead shard to a survivor.
-    pub sessions_migrated: ShardedCounter,
-    /// Up/Suspect → Down transitions (each triggers a migration sweep).
-    pub failovers: ShardedCounter,
-    /// `ROUTE` requests rejected because every live shard was at or past
-    /// its hard pressure watermark (`ERR busy`).
-    pub routes_rejected: ShardedCounter,
-    /// Lease grants acknowledged by shards (initial grants and renewals).
-    pub leases_granted: ShardedCounter,
-    /// Leases the router declared expired (shard unreachable past TTL).
-    pub lease_expiries: ShardedCounter,
-    /// Shards declared fenced (lease expired; sessions may migrate).
-    pub shards_fenced: ShardedCounter,
-    /// Fenced or restarted shards re-admitted under a fresh epoch.
-    pub shards_rejoined: ShardedCounter,
-    /// Shards currently `Up` (current + high-water mark).
-    pub shards_up: HighWaterGauge,
-    /// Shards currently `Suspect` (current + high-water mark).
-    pub shards_suspect: HighWaterGauge,
-    /// Shards currently `Down` (current + high-water mark).
-    pub shards_down: HighWaterGauge,
-    /// Highest fencing epoch the router has granted to any shard.
-    pub fencing_epoch: HighWaterGauge,
-    /// Round-trip latency of successful STATS probes, in microseconds.
-    pub probe_latency_us: Log2Histogram,
 }
 
 impl FleetMetrics {
@@ -1044,191 +743,192 @@ impl FleetMetrics {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Folds every instrument into an owned [`FleetSnapshot`].
-    pub fn snapshot(&self) -> FleetSnapshot {
-        FleetSnapshot {
-            probes: self.probes.sum(),
-            probe_failures: self.probe_failures.sum(),
-            sessions_routed: self.sessions_routed.sum(),
-            sessions_migrated: self.sessions_migrated.sum(),
-            failovers: self.failovers.sum(),
-            routes_rejected: self.routes_rejected.sum(),
-            leases_granted: self.leases_granted.sum(),
-            lease_expiries: self.lease_expiries.sum(),
-            shards_fenced: self.shards_fenced.sum(),
-            shards_rejoined: self.shards_rejoined.sum(),
-            shards_up: self.shards_up.get(),
-            shards_suspect: self.shards_suspect.get(),
-            shards_down: self.shards_down.get(),
-            shards_down_high_water: self.shards_down.high_water(),
-            fencing_epoch: self.fencing_epoch.get(),
-            probe_latency_us: self.probe_latency_us.snapshot(),
+/// Opens a STATS line: the `label`, `metric`, `type` members every line
+/// starts with, in the order `scripts/fleet_smoke.sh` greps for. Lines
+/// that are not table rows (`worker`, `memory_budget`, `shard_state`, the
+/// daemon's ride-along gauges) start here too.
+pub fn stat_line(label: &str, metric: &str, kind: &str) -> json::Object {
+    json::Object::new()
+        .str("label", label)
+        .str("metric", metric)
+        .str("type", kind)
+}
+
+/// The JSON-lines exposition: one object per row, in table order.
+pub fn json_report(rows: &[MetricRow], values: &[MetricValue<'_>], label: &str) -> String {
+    let mut out = String::new();
+    for (row, value) in rows.iter().zip(values) {
+        let line = match *value {
+            MetricValue::Counter(value) => {
+                stat_line(label, row.name, "counter").u64("value", value)
+            }
+            MetricValue::Gauge(value, mark) => {
+                let line = stat_line(label, row.name, "gauge").u64("value", value);
+                match mark {
+                    Some(mark) => line.u64("high_water", mark),
+                    None => line,
+                }
+            }
+            MetricValue::Histogram(h) => stat_line(label, row.name, "histogram")
+                .u64("count", h.count())
+                .u64("sum", h.sum)
+                .u64("max", h.max)
+                .u64("p50", h.quantile_bound(0.5))
+                .u64("p99", h.quantile_bound(0.99))
+                .array(
+                    "buckets",
+                    ",",
+                    h.nonzero_buckets()
+                        .map(|(lo, _, n)| json::Object::new().u64("ge", lo).u64("count", n)),
+                ),
+        };
+        out.push_str(&line.finish());
+        out.push('\n');
+    }
+    out
+}
+
+/// One text line at position `at`: the label padded to the value column.
+fn text_line(at: u8, label: &str, body: impl std::fmt::Display) -> (u8, String) {
+    (at, format!("{:<21} {body}\n", format!("{label}:")))
+}
+
+/// The human exposition: every row that has a [`TextLine`], merged with
+/// the snapshot's composite lines and sorted by position. Histogram
+/// summaries differ per histogram, so they are composites.
+pub fn text_report(
+    rows: &[MetricRow],
+    values: &[MetricValue<'_>],
+    mut lines: Vec<(u8, String)>,
+) -> String {
+    for (row, value) in rows.iter().zip(values) {
+        let Some(text) = row.text else { continue };
+        let (seen, body) = match *value {
+            MetricValue::Counter(value) | MetricValue::Gauge(value, None) => {
+                (value, value.to_string())
+            }
+            MetricValue::Gauge(value, Some(mark)) => {
+                (mark, format!("{value} now, {mark} high-water"))
+            }
+            MetricValue::Histogram(_) => continue,
+        };
+        if text.always || seen > 0 {
+            let body = format!("{body} {}", text.note);
+            lines.push(text_line(text.at, text.label, body.trim_end()));
         }
+    }
+    lines.sort_by_key(|(at, _)| *at);
+    lines.into_iter().map(|(_, line)| line).collect()
+}
+
+impl MetricsSnapshot {
+    /// Human-readable multi-line report.
+    pub fn render_text(&self) -> String {
+        use std::fmt::Write as _;
+        let mut lines = Vec::new();
+        let (leveled, lexical) = (self.intervals_auto_leveled, self.intervals_auto_lexical);
+        if leveled + lexical > 0 {
+            let body = format!("{leveled} leveled, {lexical} lexical");
+            lines.push(text_line(15, "auto dispatch", body));
+        }
+        let (now, mark) = (self.disk_spill_bytes, self.disk_spill_bytes_high_water);
+        if mark > 0 {
+            let batches = self.disk_spill_batches;
+            let body = format!("{now} now, {mark} high-water ({batches} batches)");
+            lines.push(text_line(19, "disk spill bytes", body));
+        }
+        let cuts = &self.interval_cuts;
+        let (mean, p50, p99, max) = (
+            cuts.mean(),
+            cuts.quantile_bound(0.5),
+            cuts.quantile_bound(0.99),
+            cuts.max,
+        );
+        let body = format!("mean {mean:.1}, p50 <= {p50}, p99 <= {p99}, max {max}");
+        let mut skew = text_line(20, "interval cut counts", body);
+        for (lo, hi, count) in cuts.nonzero_buckets() {
+            let _ = writeln!(skew.1, "  cuts/interval {lo}..={hi}: {count}");
+        }
+        lines.push(skew);
+        let critical = &self.insert_critical_ns;
+        if critical.count() > 0 {
+            let (mean, p99, max) = (critical.mean(), critical.quantile_bound(0.99), critical.max);
+            let body = format!("mean {mean:.0} ns, p99 <= {p99} ns, max {max} ns");
+            lines.push(text_line(21, "insert critical path", body));
+        }
+        for (i, w) in self.workers.iter().enumerate() {
+            let (busy, idle) = (w.busy_ns as f64 / 1e6, w.idle_ns as f64 / 1e6);
+            lines.push((
+                22,
+                format!(
+                    "worker {i}: {} intervals, busy {busy:.3} ms, idle {idle:.3} ms ({:.0}% busy)\n",
+                    w.intervals,
+                    w.utilization() * 100.0,
+                ),
+            ));
+        }
+        text_report(Self::ROWS, &self.values(), lines)
+    }
+
+    /// Machine-readable report: one JSON object per line — the table's
+    /// rows, then one `worker` line per tally slot. `label` tags every
+    /// line so multi-run files (bench sweeps) stay greppable.
+    pub fn to_json_lines(&self, label: &str) -> String {
+        let mut out = json_report(Self::ROWS, &self.values(), label);
+        for (i, w) in self.workers.iter().enumerate() {
+            let line = stat_line(label, "worker", "worker")
+                .u64("index", i as u64)
+                .u64("busy_ns", w.busy_ns)
+                .u64("idle_ns", w.idle_ns)
+                .u64("intervals", w.intervals);
+            out.push_str(&line.finish());
+            out.push('\n');
+        }
+        out
     }
 }
 
-/// Plain-data snapshot of a [`FleetMetrics`] registry.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FleetSnapshot {
-    /// Health probes attempted.
-    pub probes: u64,
-    /// Probes that failed.
-    pub probe_failures: u64,
-    /// Sessions assigned a shard.
-    pub sessions_routed: u64,
-    /// Durable sessions re-homed after shard death.
-    pub sessions_migrated: u64,
-    /// Up/Suspect → Down transitions.
-    pub failovers: u64,
-    /// Routes rejected fleet-wide (`ERR busy`).
-    pub routes_rejected: u64,
-    /// Lease grants acknowledged by shards.
-    pub leases_granted: u64,
-    /// Leases the router declared expired.
-    pub lease_expiries: u64,
-    /// Shards declared fenced.
-    pub shards_fenced: u64,
-    /// Shards re-admitted under a fresh epoch.
-    pub shards_rejoined: u64,
-    /// Shards `Up` at snapshot time.
-    pub shards_up: u64,
-    /// Shards `Suspect` at snapshot time.
-    pub shards_suspect: u64,
-    /// Shards `Down` at snapshot time.
-    pub shards_down: u64,
-    /// Most shards ever `Down` at once.
-    pub shards_down_high_water: u64,
-    /// Highest fencing epoch granted so far.
-    pub fencing_epoch: u64,
-    /// Distribution of successful probe round-trips (microseconds).
-    pub probe_latency_us: HistogramSnapshot,
+impl IngestSnapshot {
+    /// Human-readable multi-line report (same style as
+    /// [`MetricsSnapshot::render_text`]).
+    pub fn render_text(&self) -> String {
+        text_report(Self::ROWS, &self.values(), Vec::new())
+    }
+
+    /// Machine-readable report: one JSON object per line, same shape as
+    /// [`MetricsSnapshot::to_json_lines`].
+    pub fn to_json_lines(&self, label: &str) -> String {
+        json_report(Self::ROWS, &self.values(), label)
+    }
 }
 
 impl FleetSnapshot {
     /// Human-readable multi-line report (same style as
     /// [`IngestSnapshot::render_text`]).
     pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "shards:               {} up, {} suspect, {} down",
-            self.shards_up, self.shards_suspect, self.shards_down
-        );
-        let _ = writeln!(out, "sessions routed:      {}", self.sessions_routed);
-        if self.routes_rejected > 0 {
-            let _ = writeln!(out, "routes rejected:      {}", self.routes_rejected);
-        }
-        if self.failovers > 0 {
-            let _ = writeln!(out, "failovers:            {}", self.failovers);
-        }
-        if self.sessions_migrated > 0 {
-            let _ = writeln!(out, "sessions migrated:    {}", self.sessions_migrated);
-        }
+        let (up, suspect, down) = (self.shards_up, self.shards_suspect, self.shards_down);
+        let body = format!("{up} up, {suspect} suspect, {down} down");
+        let mut lines = vec![text_line(1, "shards", body)];
         if self.leases_granted > 0 || self.fencing_epoch > 0 {
-            let _ = writeln!(out, "leases granted:       {}", self.leases_granted);
-            let _ = writeln!(out, "fencing epoch:        {}", self.fencing_epoch);
+            lines.push(text_line(6, "leases granted", self.leases_granted));
+            lines.push(text_line(6, "fencing epoch", self.fencing_epoch));
         }
-        if self.lease_expiries > 0 {
-            let _ = writeln!(out, "lease expiries:       {}", self.lease_expiries);
+        let latency = &self.probe_latency_us;
+        if latency.count() > 0 {
+            let (mean, p99, max) = (latency.mean(), latency.quantile_bound(0.99), latency.max);
+            let body = format!("mean {mean:.1}, p99 <= {p99}, max {max}");
+            lines.push(text_line(12, "probe latency us", body));
         }
-        if self.shards_fenced > 0 {
-            let _ = writeln!(out, "shards fenced:        {}", self.shards_fenced);
-        }
-        if self.shards_rejoined > 0 {
-            let _ = writeln!(out, "shards rejoined:      {}", self.shards_rejoined);
-        }
-        let _ = writeln!(out, "probes:               {}", self.probes);
-        if self.probe_failures > 0 {
-            let _ = writeln!(out, "probe failures:       {}", self.probe_failures);
-        }
-        if self.probe_latency_us.count() > 0 {
-            let _ = writeln!(
-                out,
-                "probe latency us:     mean {:.1}, p99 <= {}, max {}",
-                self.probe_latency_us.mean(),
-                self.probe_latency_us.quantile_bound(0.99),
-                self.probe_latency_us.max
-            );
-        }
-        out
+        text_report(Self::ROWS, &self.values(), lines)
     }
 
     /// Machine-readable report: one JSON object per line, same shape as
     /// [`IngestSnapshot::to_json_lines`].
     pub fn to_json_lines(&self, label: &str) -> String {
-        use std::fmt::Write as _;
-        let label = json_escape(label);
-        let mut out = String::new();
-        for (name, value) in [
-            ("probes", self.probes),
-            ("probe_failures", self.probe_failures),
-            ("sessions_routed", self.sessions_routed),
-            ("sessions_migrated", self.sessions_migrated),
-            ("failovers", self.failovers),
-            ("routes_rejected", self.routes_rejected),
-            ("leases_granted", self.leases_granted),
-            ("lease_expiries", self.lease_expiries),
-            ("shards_fenced", self.shards_fenced),
-            ("shards_rejoined", self.shards_rejoined),
-        ] {
-            let _ = writeln!(
-                out,
-                "{{\"label\":\"{label}\",\"metric\":\"{name}\",\"type\":\"counter\",\"value\":{value}}}"
-            );
-        }
-        for (name, value) in [
-            ("shards_up", self.shards_up),
-            ("shards_suspect", self.shards_suspect),
-            ("shards_down", self.shards_down),
-            ("fencing_epoch", self.fencing_epoch),
-        ] {
-            let _ = writeln!(
-                out,
-                "{{\"label\":\"{label}\",\"metric\":\"{name}\",\"type\":\"gauge\",\"value\":{value}}}"
-            );
-        }
-        let h = &self.probe_latency_us;
-        let _ = write!(
-            out,
-            "{{\"label\":\"{label}\",\"metric\":\"probe_latency_us\",\"type\":\"histogram\",\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p99\":{},\"buckets\":[",
-            h.count(),
-            h.sum,
-            h.max,
-            h.quantile_bound(0.5),
-            h.quantile_bound(0.99),
-        );
-        let mut first = true;
-        for (lo, _, count) in h.nonzero_buckets() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "{{\"ge\":{lo},\"count\":{count}}}");
-        }
-        out.push_str("]}\n");
-        out
+        json_report(Self::ROWS, &self.values(), label)
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1550,5 +1250,70 @@ mod tests {
         assert!(json.contains(
             "\"metric\":\"active_sessions\",\"type\":\"gauge\",\"value\":1,\"high_water\":2"
         ));
+    }
+
+    /// Every metric is declared once: names are unique within a table,
+    /// every row carries help text, and every line either report emits is
+    /// a row of its table or one of the named non-table lines.
+    #[test]
+    fn every_metric_name_is_declared_exactly_once() {
+        const NON_TABLE: [&str; 5] = [
+            "memory_budget",
+            "shard_state",
+            "worker",
+            "protocol_version",
+            "fenced",
+        ];
+        let engine = ParaMetrics::new(2).snapshot();
+        let ingest = IngestMetrics::new().snapshot();
+        let fleet = FleetMetrics::new().snapshot();
+        for (rows, values, json) in [
+            (
+                MetricsSnapshot::ROWS,
+                engine.values(),
+                engine.to_json_lines("t"),
+            ),
+            (
+                IngestSnapshot::ROWS,
+                ingest.values(),
+                ingest.to_json_lines("t"),
+            ),
+            (
+                FleetSnapshot::ROWS,
+                fleet.values(),
+                fleet.to_json_lines("t"),
+            ),
+        ] {
+            assert_eq!(rows.len(), values.len());
+            for (i, row) in rows.iter().enumerate() {
+                assert!(!row.help.is_empty(), "{} has no help text", row.name);
+                assert!(
+                    rows[..i].iter().all(|earlier| earlier.name != row.name),
+                    "{} is declared twice",
+                    row.name
+                );
+            }
+            let mut emitted = Vec::new();
+            for line in json.lines() {
+                let stat = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+                let metric = stat.get("metric").and_then(json::Json::as_str).unwrap();
+                assert!(
+                    rows.iter().any(|row| row.name == metric) || NON_TABLE.contains(&metric),
+                    "{metric} is not a table row"
+                );
+                emitted.push(metric.to_string());
+            }
+            for row in rows {
+                assert!(
+                    emitted.iter().any(|m| m == row.name),
+                    "{} not emitted",
+                    row.name
+                );
+            }
+        }
+        assert_eq!(
+            MetricsSnapshot::ROWS.len() + IngestSnapshot::ROWS.len() + FleetSnapshot::ROWS.len(),
+            51
+        );
     }
 }

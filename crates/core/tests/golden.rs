@@ -5,6 +5,7 @@
 //! greps and the router's probe parser read; a change to a renderer that
 //! moves one byte fails here first.
 
+use paramount::json::{self, Json, Object};
 use paramount::{
     FleetMetrics, FleetSnapshot, GovernorConfig, IngestMetrics, IngestSnapshot, MemoryBudget,
     MetricsSnapshot, ParaMetrics,
@@ -205,4 +206,47 @@ fn budget_lines() -> String {
 #[test]
 fn memory_budget_lines_match_the_fixture() {
     assert_golden("memory_budget.jsonl", &budget_lines());
+}
+
+/// Rebuilds a parsed object with the writer (fixture lines hold strings,
+/// integers and arrays of objects — nothing else).
+fn rewrite(value: &Json) -> Object {
+    let Json::Obj(members) = value else {
+        panic!("not an object: {value:?}")
+    };
+    members
+        .iter()
+        .fold(Object::new(), |object, (key, value)| match value {
+            Json::Str(s) => object.str(key, s),
+            Json::U64(n) => object.u64(key, *n),
+            Json::Arr(items) => object.array(key, ",", items.iter().map(rewrite)),
+            other => panic!("unexpected member {key}: {other:?}"),
+        })
+}
+
+/// Writer → reader → writer over every line of every fixture, the ingest
+/// crate's included: the reader accepts what the writer emits, keeps every
+/// integer exact and undoes every escape.
+#[test]
+fn every_fixture_line_round_trips_through_the_reader() {
+    let mut lines = 0;
+    for dir in ["tests/golden", "../ingest/tests/golden"] {
+        let dir = format!("{}/{dir}", env!("CARGO_MANIFEST_DIR"));
+        for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir}: {e}")) {
+            let path = entry.expect("directory entry").path();
+            if path.extension().is_some_and(|ext| ext == "jsonl") {
+                for line in std::fs::read_to_string(&path).expect("fixture").lines() {
+                    let parsed = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+                    assert_eq!(rewrite(&parsed).finish(), line, "{}", path.display());
+                    lines += 1;
+                }
+            }
+        }
+    }
+    assert!(lines > 100, "only {lines} fixture lines found");
+    let hostile = json::parse(golden("engine_populated.jsonl").lines().next().unwrap()).unwrap();
+    assert_eq!(
+        hostile.get("label").and_then(Json::as_str),
+        Some(HOSTILE_LABEL)
+    );
 }

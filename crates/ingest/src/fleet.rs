@@ -70,7 +70,9 @@ use crate::persist::{scan_sessions, session_dir};
 use crate::proto::{parse_client_line, ClientFrame, DecodeError, ErrCode, ServerFrame};
 use crate::server::{LineReader, Tick};
 use paramount::faults::splitmix64;
-use paramount::{FleetMetrics, FleetSnapshot, Pressure};
+use paramount::json::{self, Json};
+use paramount::metrics::stat_line;
+use paramount::{BudgetSnapshot, FleetMetrics, FleetSnapshot, Pressure};
 use paramount_durable::{FsyncPolicy, Record, Wal, WalConfig};
 use std::collections::HashMap;
 use std::fmt;
@@ -855,31 +857,21 @@ fn parse_lease_ack(line: &str) -> Option<LeaseAck> {
     })
 }
 
-/// Extracts `key":<u64>` from a flat JSON stats line.
-fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let pattern = format!("\"{key}\":");
-    let at = line.find(&pattern)? + pattern.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Reads the shard's admission pressure off its `memory_budget` STAT
 /// line, mirroring `MemoryBudget::pressure`: accounted bytes are spill
 /// (`value`) plus retained, compared against the soft/hard watermarks.
-/// Returns `None` for every other line.
+/// Returns `None` for every other line, and for one that is not JSON — a
+/// shard's reply is outside input.
 fn parse_probe_pressure(line: &str) -> Option<Pressure> {
-    if !line.starts_with("STAT ") || !line.contains("\"metric\":\"memory_budget\"") {
+    let stat = json::parse(line.strip_prefix("STAT ")?).ok()?;
+    if stat.get("metric")?.as_str()? != BudgetSnapshot::METRIC {
         return None;
     }
-    let spill = json_u64_field(line, "value").unwrap_or(0);
-    let retained = json_u64_field(line, "retained").unwrap_or(0);
-    let total = spill.saturating_add(retained);
-    let soft = json_u64_field(line, "soft");
-    let hard = json_u64_field(line, "hard");
-    Some(match (soft, hard) {
+    let field = |key| stat.get(key).and_then(Json::as_u64);
+    let total = field("value")
+        .unwrap_or(0)
+        .saturating_add(field("retained").unwrap_or(0));
+    Some(match (field("soft"), field("hard")) {
         (_, Some(hard)) if total >= hard => Pressure::Hard,
         (Some(soft), _) if total >= soft => Pressure::Soft,
         _ => Pressure::Nominal,
@@ -1276,16 +1268,15 @@ fn shard_state_json(shard: &ShardSpec, health: &ShardHealth) -> String {
         Pressure::Soft => "soft",
         Pressure::Hard => "hard",
     };
-    format!(
-        "{{\"label\":\"fleet\",\"metric\":\"shard_state\",\"type\":\"state\",\"shard\":{},\"addr\":\"{}\",\"state\":\"{}\",\"pressure\":\"{}\",\"consecutive_failures\":{},\"epoch\":{},\"fenced\":{}}}",
-        shard.id,
-        shard.addr,
-        health.state,
-        pressure,
-        health.consecutive_failures,
-        health.epoch,
-        u8::from(health.fenced_declared)
-    )
+    stat_line("fleet", "shard_state", "state")
+        .u64("shard", shard.id as u64)
+        .str("addr", &shard.addr)
+        .str("state", &health.state.to_string())
+        .str("pressure", pressure)
+        .u64("consecutive_failures", health.consecutive_failures.into())
+        .u64("epoch", health.epoch)
+        .u64("fenced", health.fenced_declared.into())
+        .finish()
 }
 
 /// Writes one frame line.

@@ -24,6 +24,7 @@ use crate::proto::{
 };
 use crate::session::{Session, SessionConfig, SessionReport};
 use crate::wire2;
+use paramount::metrics::stat_line;
 use paramount::{
     panic_message, GovernorConfig, IngestMetrics, IngestSnapshot, MemoryBudget, Pressure,
 };
@@ -1170,50 +1171,37 @@ fn handle_frame<F: Fn(&SessionReport) + Send + Sync>(
             // In-session: the session's engine metrics. Pre-HELLO: the
             // daemon-wide ingest counters (this is how `paramount stats
             // --connect` scrapes a live daemon).
-            let mut json = match session.as_ref() {
+            let (scope, mut json) = match session.as_ref() {
                 Some(s) => {
-                    let label = s.label().unwrap_or("session").to_string();
-                    s.metrics().to_json_lines(&label)
+                    let label = s.label().unwrap_or("session");
+                    (label, s.metrics().to_json_lines(label))
                 }
                 None => {
-                    let mut out = ctx.metrics.snapshot().to_json_lines("ingest");
-                    if !out.is_empty() && !out.ends_with('\n') {
-                        out.push('\n');
-                    }
                     // The budget gauge rides along so a scrape shows the
                     // daemon's headroom next to its session counters.
+                    let mut out = ctx.metrics.snapshot().to_json_lines("ingest");
                     out.push_str(&ctx.budget.snapshot().to_json_line("ingest"));
-                    out
+                    out.push('\n');
+                    ("ingest", out)
                 }
             };
-            // The connection's negotiated wire version rides along so a
-            // scrape (or `paramount stats --connect`) shows which framing
-            // the stream is using.
-            let scope = session
-                .as_ref()
-                .map(|s| s.label().unwrap_or("session"))
-                .unwrap_or("ingest");
-            if !json.is_empty() && !json.ends_with('\n') {
+            // Three gauges ride along on every reply: the connection's
+            // negotiated wire version (which framing the stream is using),
+            // and the daemon's fencing state, so the router's probe (and
+            // any scrape) sees the lease epoch and whether the shard is
+            // currently fenced.
+            for (metric, value) in [
+                ("protocol_version", u64::from(*conn_proto)),
+                ("fencing_epoch", ctx.fence.epoch()),
+                ("fenced", u64::from(ctx.fence.is_fenced())),
+            ] {
+                json.push_str(
+                    &stat_line(scope, metric, "gauge")
+                        .u64("value", value)
+                        .finish(),
+                );
                 json.push('\n');
             }
-            let scope_json = scope.replace('\\', "\\\\").replace('"', "\\\"");
-            json.push_str(&format!(
-                "{{\"label\":\"{scope_json}\",\"metric\":\"protocol_version\",\"type\":\"gauge\",\"value\":{}}}",
-                conn_proto,
-            ));
-            // The daemon's fencing state rides along so the router's
-            // probe (and any scrape) sees the lease epoch and whether
-            // the shard is currently fenced.
-            json.push('\n');
-            json.push_str(&format!(
-                "{{\"label\":\"{scope_json}\",\"metric\":\"fencing_epoch\",\"type\":\"gauge\",\"value\":{}}}",
-                ctx.fence.epoch(),
-            ));
-            json.push('\n');
-            json.push_str(&format!(
-                "{{\"label\":\"{scope_json}\",\"metric\":\"fenced\",\"type\":\"gauge\",\"value\":{}}}",
-                u8::from(ctx.fence.is_fenced()),
-            ));
             for line in json.lines() {
                 if send(stream, &ServerFrame::Stat(line.to_string())).is_err() {
                     return FrameOutcome::Close(EndReason::Disconnect);

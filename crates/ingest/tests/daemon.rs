@@ -2,6 +2,7 @@
 //! loopback, real sockets, concurrent sessions, and the sequential BFS
 //! enumerator as the ground-truth oracle.
 
+use paramount::json::{self, Json};
 use paramount_enumerate::bfs::{self, BfsOptions};
 use paramount_enumerate::CountSink;
 use paramount_ingest::{
@@ -476,6 +477,29 @@ fn ride_along_stat_lines_match_the_fixture() {
     client.finish().expect("finish");
 
     assert_eq!(got, include_str!("golden/ride_along.jsonl"));
+    handle.shutdown();
+    daemon.join().expect("daemon");
+}
+
+/// A label is one whitespace-free token, so it may carry a quote, a
+/// backslash or a bare control character: every `STAT` line of the
+/// in-session reply must still be JSON, with the label read back intact.
+#[test]
+fn hostile_label_still_yields_valid_stat_json() {
+    let (addr, handle, _rx, daemon) = spawn_daemon(ServerConfig::default());
+    let label = "a\u{1}b\"c\\";
+
+    let mut client = Client::connect_tcp(addr).expect("connect");
+    let mut hello = Hello::new(2);
+    hello.label = Some(label.to_string());
+    client.hello(&hello).expect("hello");
+    let lines = client.stats().expect("stats");
+    assert!(lines.len() > 3, "{lines:?}");
+    for line in &lines {
+        let stat = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line:?}"));
+        assert_eq!(stat.get("label").and_then(Json::as_str), Some(label));
+    }
+    client.finish().expect("finish");
     handle.shutdown();
     daemon.join().expect("daemon");
 }

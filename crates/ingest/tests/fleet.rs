@@ -5,6 +5,7 @@
 //! control run (Theorem 3 exactness is a function of the accepted event
 //! prefix alone, so "identical report" is the whole failover contract).
 
+use paramount::json::{self, Json};
 use paramount_durable::FsyncPolicy;
 use paramount_ingest::{
     first_session_id, shard_of_session, shard_subroot, Client, FenceGuard, FleetConfig,
@@ -84,23 +85,27 @@ fn spawn_shard_at(root: &Path, id: usize, addr: SocketAddr) -> Shard {
     }
 }
 
-/// Scrapes one `u64` value off a router STATS reply:
-/// `... "metric":"<name>" ... "value":<n> ...`.
+/// The parsed router STATS lines whose `metric` is `metric`.
+fn stat_lines<'a>(lines: &'a [String], metric: &'a str) -> impl Iterator<Item = Json> + 'a {
+    lines
+        .iter()
+        .filter_map(|l| json::parse(l).ok())
+        .filter(move |stat| stat.get("metric").and_then(Json::as_str) == Some(metric))
+}
+
+/// One `u64` member of a parsed STATS line.
+fn member_u64(stat: &Json, key: &str) -> Option<u64> {
+    stat.get(key)?.as_u64()
+}
+
+/// The `value` of the router's `metric` line.
 fn stat_u64(lines: &[String], metric: &str) -> Option<u64> {
-    let needle = format!("\"metric\":\"{metric}\"");
-    let line = lines.iter().find(|l| l.contains(&needle))?;
-    let at = line.find("\"value\":")? + "\"value\":".len();
-    let digits: String = line[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+    member_u64(&stat_lines(lines, metric).next()?, "value")
 }
 
 /// The router's `shard_state` STATS line for shard `id`.
-fn shard_state_line(lines: &[String], id: usize) -> Option<String> {
-    let needle = format!("\"metric\":\"shard_state\",\"type\":\"state\",\"shard\":{id},");
-    lines.iter().find(|l| l.contains(&needle)).cloned()
+fn shard_state_line(lines: &[String], id: usize) -> Option<Json> {
+    stat_lines(lines, "shard_state").find(|stat| member_u64(stat, "shard") == Some(id as u64))
 }
 
 /// A snappy test-sized fleet config: fast probes, fast failover, a
@@ -226,10 +231,7 @@ fn router_places_sessions_on_shard_encoded_ids() {
         "router STATS must include fleet counters: {lines:?}"
     );
     assert_eq!(
-        lines
-            .iter()
-            .filter(|l| l.contains("\"metric\":\"shard_state\""))
-            .count(),
+        stat_lines(&lines, "shard_state").count(),
         3,
         "router STATS must report one shard_state line per shard"
     );
@@ -352,17 +354,6 @@ fn route_of_foreign_session_is_a_state_error() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// One numeric field (`"key":<n>`) out of a JSON-ish STATS line.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
-    let digits: String = line[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
 fn router_stats(router: SocketAddr) -> Vec<String> {
     let mut stats = Client::connect_tcp(router).expect("connect router");
     stats.stats().expect("router stats")
@@ -480,11 +471,11 @@ fn fenced_shard_rejoins_with_a_fresh_epoch() {
         assert!(Instant::now() < deadline, "victim was never fenced");
         let lines = router_stats(router);
         let state = shard_state_line(&lines, victim_shard).expect("state line");
-        if state.contains("\"fenced\":1") {
+        if member_u64(&state, "fenced") == Some(1) {
             let mut routed = Client::connect_tcp(router).expect("connect router");
             if let Ok((shard, _)) = routed.route(Some(session)) {
                 if shard as usize != victim_shard {
-                    break json_u64(&state, "epoch").expect("epoch field");
+                    break member_u64(&state, "epoch").expect("epoch field");
                 }
             }
         }
@@ -499,10 +490,10 @@ fn fenced_shard_rejoins_with_a_fresh_epoch() {
         let lines = router_stats(router);
         let state = shard_state_line(&lines, victim_shard).expect("state line");
         if stat_u64(&lines, "shards_rejoined").unwrap_or(0) >= 1
-            && state.contains("\"state\":\"up\"")
-            && state.contains("\"fenced\":0")
+            && state.get("state").and_then(Json::as_str) == Some("up")
+            && member_u64(&state, "fenced") == Some(0)
         {
-            let new_epoch = json_u64(&state, "epoch").expect("epoch field");
+            let new_epoch = member_u64(&state, "epoch").expect("epoch field");
             assert!(
                 new_epoch > old_epoch,
                 "a re-join must carry a strictly higher epoch ({new_epoch} vs {old_epoch})"
