@@ -12,7 +12,7 @@
 //! Counts come from [`alloc_track::CountingAllocator`] installed as the
 //! global allocator, so they include *everything* the run touches —
 //! sink bookkeeping, hash-table growth, and (for the `L-Para` rows)
-//! one-time Rayon pool setup. Ratios are meaningful because the cut
+//! one-time worker-pool setup. Ratios are meaningful because the cut
 //! counts dwarf the constant overheads.
 
 use paramount::{Algorithm, AtomicCountSink, ParaMount};

@@ -1,44 +1,50 @@
 //! The shared interval-execution core.
 //!
-//! Both execution modes — offline (Algorithm 1) and online (Algorithm 4)
-//! — reduce to the same job: run a bounded subroutine over intervals
-//! `I(e) = [Gmin(e), Gbnd(e)]`, survive sink faults without losing or
-//! double-delivering cuts, and account for everything in one metrics
-//! registry. This module is the single implementation of that job:
+//! Both engines — offline (Algorithm 1) and online (Algorithm 4) — are
+//! the same loop: workers take the next event's interval
+//! `I(e) = [Gmin(e), Gbnd(e)]` in `→p` order and run a bounded subroutine
+//! on it, surviving sink faults without losing or double-delivering cuts
+//! and accounting for everything in one metrics registry. They differ
+//! only in where intervals come from. This module is the single
+//! implementation of that loop:
 //!
-//! * [`IntervalExecutor`] — the per-interval machinery: subroutine
+//! * `IntervalExecutor` — the per-interval machinery: subroutine
 //!   dispatch, delivery metering, the `catch_unwind` isolation boundary
 //!   with its clean-slate-retry/quarantine protocol, and the chaos
 //!   injection site at the sink.
-//! * **Batch mode** (`IntervalExecutor::run_batch`) — fan a
-//!   pre-partitioned interval list over a Rayon pool with work stealing
-//!   (the offline engine is a thin front-end over this).
-//! * **Streaming mode** (`StreamExecutor`) — a supervised worker pool
-//!   draining a bounded channel of intervals as they are created, with an
-//!   explicit [`BackpressurePolicy`] and a delta-coded spill buffer (the
-//!   online engine feeds this incrementally).
+//! * `Pool` — one supervised worker pool: in-flight slots, the restart
+//!   budget, the watchdog, the spill buffer that preempted halves and
+//!   overflow go to, and the one split / quarantine / retry disposition
+//!   (`process_interval`). It is generic over how space and sink are held
+//!   (`Arc` / `Box<dyn>` for a pool that outlives its caller, plain
+//!   borrows for a scoped one) and its workers over a `JobSource`.
+//! * Two sources: the packed `→p` partition of a finished poset, popped
+//!   under one lock by scoped workers (`run_partition`, the offline
+//!   engine), and a bounded channel fed as events are inserted
+//!   (`StreamExecutor`, the online engine, with an explicit
+//!   [`BackpressurePolicy`]).
 //!
-//! The isolation contract (identical in both modes): a panic unwinding
-//! out of the sink is caught at the interval boundary; the interval is
-//! retried once i*f and only if* nothing of it had been delivered
-//! (re-running a partial interval would double-deliver its prefix —
-//! Theorem 2's exactly-once guarantee outranks completeness), and
-//! otherwise quarantined with the exact delivered-prefix length on
-//! record. Interval disjointness (Lemmas 2–3) is what makes the blast
-//! radius of a fault one interval, never the run.
+//! The isolation contract: a panic unwinding out of the sink is caught
+//! at the interval boundary; the interval is retried once *if and only
+//! if* nothing of it had been delivered (re-running a partial interval
+//! would double-deliver its prefix — Theorem 2's exactly-once guarantee
+//! outranks completeness), and otherwise quarantined with the exact
+//! delivered-prefix length on record. Interval disjointness (Lemmas 2–3)
+//! is what makes the blast radius of a fault one interval, never the
+//! run.
 
 use crate::faults::{FaultLog, FaultPlan, QuarantinedInterval};
-use crate::governor::{MemoryBudget, OverloadError, Pressure};
+use crate::governor::{GovernorConfig, MemoryBudget, OverloadError, Pressure};
 use crate::interval::Interval;
 use crate::metrics::{MetricsSnapshot, ParaMetrics};
 use crate::sink::{MeteredSink, ParallelCutSink, SinkBridge};
-use crate::store::DurableIntervalQueue;
+use crate::store::{DurableIntervalQueue, PackedIntervalQueue};
 use crossbeam_channel::TrySendError;
 use paramount_enumerate::{panic_message, Algorithm, CutSink, EnumError, EnumStats};
 use paramount_poset::CutSpace;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Deref};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -67,8 +73,9 @@ const BATCH_TINY_BOX: u128 = 16;
 /// trigger: a full buffer, a non-tiny submission, or `finish`.
 const BATCH_MAX_INTERVALS: usize = 32;
 
-/// One streaming dispatch-queue entry: a single interval, or a coalesced
-/// run of consecutive tiny intervals sharing the channel slot. Workers
+/// One queue entry a worker takes from its source: a single interval, or
+/// a coalesced run of consecutive tiny intervals sharing a channel slot
+/// (only the online engine's `submit` coalesces). Workers
 /// unroll a batch at pickup, so everything downstream of the queue (the
 /// isolation boundary, preemption, quarantine) stays per-interval.
 enum Job {
@@ -118,7 +125,7 @@ impl Job {
 /// made once per interval, so the single-retry path re-runs the same
 /// subroutine it first picked.
 #[derive(Clone, Copy, Debug)]
-pub struct IntervalExecutor {
+pub(crate) struct IntervalExecutor {
     /// Bounded sequential subroutine run on each interval —
     /// [`Algorithm::Auto`] enables per-interval adaptive dispatch (see
     /// the type-level docs).
@@ -132,23 +139,13 @@ pub struct IntervalExecutor {
     /// overstays is preempted and split or quarantined
     /// ([`crate::governor`]).
     pub interval_deadline: Option<Duration>,
-    /// Deterministic fault-injection plan (inert unless the `chaos`
-    /// feature compiles the sites in).
+    /// Deterministic fault-injection plan (inert, and unread, unless the
+    /// `chaos` feature compiles the sites in).
+    #[cfg_attr(not(feature = "chaos"), allow(dead_code))]
     pub faults: FaultPlan,
 }
 
 impl IntervalExecutor {
-    /// An executor over the given subroutine, with no budget, no
-    /// deadline and no injected faults.
-    pub fn new(algorithm: Algorithm) -> Self {
-        IntervalExecutor {
-            algorithm,
-            frontier_budget: None,
-            interval_deadline: None,
-            faults: FaultPlan::default(),
-        }
-    }
-
     /// Enumerates one interval into `sink`, metering every completed
     /// delivery into `emitted` so a fault knows the exact prefix length
     /// that reached the sink. With a preemption guard, the cancellation
@@ -237,12 +234,12 @@ impl IntervalExecutor {
     }
 
     /// One interval under the `catch_unwind` boundary — the single
-    /// retry/quarantine decision point for both execution modes. At most
+    /// retry/quarantine decision point for both engines. At most
     /// one retry, and only from a clean slate (`emitted == 0`).
     ///
-    /// `emitted` is reset at the start of every attempt; in streaming
-    /// mode it doubles as the in-flight slot's meter, observable by the
-    /// supervisor across a worker-body panic.
+    /// `emitted` is reset at the start of every attempt; it is the
+    /// in-flight slot's meter, observable by the supervisor across a
+    /// worker-body panic.
     fn run_isolated<Sp, K>(
         &self,
         space: &Sp,
@@ -304,177 +301,6 @@ impl IntervalExecutor {
             }
         }
     }
-
-    /// Batch mode: fans a pre-partitioned interval list over a Rayon
-    /// pool. `threads == 0` uses the global pool; any other value builds
-    /// a dedicated pool of exactly that size (degrading to the caller's
-    /// pool — counted in `worker_spawn_failures` — if the build fails).
-    pub(crate) fn run_batch<Sp, K>(
-        &self,
-        threads: usize,
-        space: &Sp,
-        intervals: &[Interval],
-        sink: &K,
-        metrics: &ParaMetrics,
-    ) -> Result<BatchOutcome, EnumError>
-    where
-        Sp: CutSpace + Sync + ?Sized,
-        K: ParallelCutSink + ?Sized,
-    {
-        #[cfg(feature = "chaos")]
-        if self.faults.arms_sink() {
-            let chaos = ChaosSink::new(self.faults, sink);
-            return self.run_batch_inner(threads, space, intervals, &chaos, metrics);
-        }
-        self.run_batch_inner(threads, space, intervals, sink, metrics)
-    }
-
-    fn run_batch_inner<Sp, K>(
-        &self,
-        threads: usize,
-        space: &Sp,
-        intervals: &[Interval],
-        sink: &K,
-        metrics: &ParaMetrics,
-    ) -> Result<BatchOutcome, EnumError>
-    where
-        Sp: CutSpace + Sync + ?Sized,
-        K: ParallelCutSink + ?Sized,
-    {
-        metrics.intervals_dispatched.add(intervals.len() as u64);
-        let cuts = AtomicU64::new(0);
-        let peak = AtomicUsize::new(0);
-        let fault_log = Mutex::new(FaultLog::default());
-        let run = || -> Result<(), EnumError> {
-            use rayon::prelude::*;
-            intervals.par_iter().try_for_each(|iv| {
-                // Rayon pool threads have a stable index; work stolen onto
-                // a non-pool thread (possible with the global pool) is
-                // tallied on slot 0.
-                let widx = rayon::current_thread_index().unwrap_or(0);
-                self.run_batch_interval(
-                    space,
-                    iv,
-                    sink,
-                    metrics,
-                    &cuts,
-                    &peak,
-                    &fault_log,
-                    widx,
-                    self.interval_deadline,
-                )
-            })
-        };
-
-        let result = if threads == 0 {
-            run()
-        } else {
-            match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
-                Ok(pool) => pool.install(run),
-                Err(_) => {
-                    // Degrade to the caller's (global) pool instead of
-                    // aborting a run whose inputs are perfectly fine.
-                    metrics.worker_spawn_failures.add(1);
-                    run()
-                }
-            }
-        };
-        result?;
-
-        Ok(BatchOutcome {
-            cuts: cuts.load(Ordering::Relaxed),
-            peak_frontiers: peak.load(Ordering::Relaxed),
-            faults: fault_log.into_inner(),
-        })
-    }
-
-    /// One batch interval end to end: isolated run, tallies, and the
-    /// fault/preemption disposition. Preemption recurses — a deadline
-    /// expiry with a clean slate splits the interval and runs both
-    /// halves (each under a fresh deadline), an unsplittable single-cut
-    /// box re-runs without a deadline (one cut must not starve the run),
-    /// and a partially delivered interval is quarantined with its exact
-    /// prefix, exactly like a partial panic.
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch_interval<Sp, K>(
-        &self,
-        space: &Sp,
-        iv: &Interval,
-        sink: &K,
-        metrics: &ParaMetrics,
-        cuts: &AtomicU64,
-        peak: &AtomicUsize,
-        fault_log: &Mutex<FaultLog>,
-        widx: usize,
-        deadline: Option<Duration>,
-    ) -> Result<(), EnumError>
-    where
-        Sp: CutSpace + Sync + ?Sized,
-        K: ParallelCutSink + ?Sized,
-    {
-        let started = Instant::now();
-        let emitted = AtomicU64::new(0);
-        let cancel = AtomicBool::new(false);
-        let control = deadline.map(|d| PreemptControl {
-            cancel: &cancel,
-            deadline_at: Some(Instant::now() + d),
-        });
-        let outcome = self.run_isolated(space, iv, sink, metrics, &emitted, control.as_ref());
-        let tally = metrics.worker(widx);
-        tally.add_busy(started.elapsed().as_nanos() as u64);
-        tally.add_interval();
-        match outcome {
-            Ok(stats) => {
-                metrics.intervals_completed.add_on(widx, 1);
-                metrics.cuts_emitted.add_on(widx, stats.cuts);
-                metrics.interval_cuts.record(stats.cuts);
-                cuts.fetch_add(stats.cuts, Ordering::Relaxed);
-                peak.fetch_max(stats.peak_frontiers, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(IntervalFault::Error(err)) => Err(err),
-            Err(IntervalFault::Panicked {
-                emitted,
-                attempts,
-                message,
-            }) => {
-                cuts.fetch_add(emitted, Ordering::Relaxed);
-                record_quarantine(metrics, fault_log, iv, emitted, attempts, message, widx);
-                Ok(())
-            }
-            Err(IntervalFault::Preempted { emitted: delivered }) => {
-                metrics.intervals_preempted.add(1);
-                if delivered == 0 {
-                    if let Some((lo, hi)) = iv.split(space) {
-                        metrics.intervals_split.add(1);
-                        metrics.intervals_dispatched.add(2);
-                        self.run_batch_interval(
-                            space, &lo, sink, metrics, cuts, peak, fault_log, widx, deadline,
-                        )?;
-                        self.run_batch_interval(
-                            space, &hi, sink, metrics, cuts, peak, fault_log, widx, deadline,
-                        )
-                    } else {
-                        self.run_batch_interval(
-                            space, iv, sink, metrics, cuts, peak, fault_log, widx, None,
-                        )
-                    }
-                } else {
-                    cuts.fetch_add(delivered, Ordering::Relaxed);
-                    record_quarantine(
-                        metrics,
-                        fault_log,
-                        iv,
-                        delivered,
-                        1,
-                        format!("preempted: deadline expired after {delivered} delivered cuts"),
-                        widx,
-                    );
-                    Ok(())
-                }
-            }
-        }
-    }
 }
 
 /// How one interval's processing ended when it did not end cleanly.
@@ -501,8 +327,8 @@ pub(crate) enum IntervalFault {
 
 /// Preemption inputs for one interval attempt: the cancellation token the
 /// watchdog sets, and an inline deadline for attempts with no watchdog
-/// behind them (batch mode, and the exact-trip determinism tests rely on
-/// it).
+/// behind them (its spawn failed; the exact-trip determinism tests rely
+/// on it too).
 pub(crate) struct PreemptControl<'a> {
     /// Cooperative cancellation token, checked once per visited cut.
     pub cancel: &'a AtomicBool,
@@ -510,7 +336,7 @@ pub(crate) struct PreemptControl<'a> {
     pub deadline_at: Option<Instant>,
 }
 
-///// Per-attempt view of a [`PreemptControl`]: adds the `tripped` flag the
+/// Per-attempt view of a [`PreemptControl`]: adds the `tripped` flag the
 /// run uses to tell a preemption `Break` apart from a sink-requested
 /// stop.
 struct PreemptGuard<'a> {
@@ -542,38 +368,6 @@ impl<S: CutSink> CutSink for PreemptSink<'_, S> {
     }
 }
 
-/// What a batch fan-out produced; the offline front-end folds this into
-/// its public stats.
-pub(crate) struct BatchOutcome {
-    pub cuts: u64,
-    pub peak_frontiers: usize,
-    pub faults: FaultLog,
-}
-
-/// Abandons an interval into the fault log. The prefix the sink already
-/// saw (`emitted` cuts, delivered before the fault) is added to the cut
-/// total so the headline count stays exactly "cuts the sink received".
-fn record_quarantine(
-    metrics: &ParaMetrics,
-    fault_log: &Mutex<FaultLog>,
-    interval: &Interval,
-    emitted: u64,
-    attempts: u32,
-    message: String,
-    widx: usize,
-) {
-    metrics.intervals_quarantined.add(1);
-    if emitted > 0 {
-        metrics.cuts_emitted.add_on(widx, emitted);
-    }
-    fault_log.lock().push(QuarantinedInterval {
-        interval: interval.clone(),
-        cuts_emitted: emitted,
-        attempts,
-        message,
-    });
-}
-
 /// What `submit` does when the streaming dispatch queue is full.
 ///
 /// The queue fills exactly when insertions outpace enumeration — with
@@ -602,8 +396,8 @@ pub enum BackpressurePolicy {
     Fail,
 }
 
-/// Streaming-mode pool parameters (the executor-facing subset of the
-/// online engine's public config).
+/// What the online engine's pool is built from (the executor-facing
+/// subset of its public config).
 #[derive(Clone, Debug)]
 pub(crate) struct StreamParams {
     /// Enumeration worker threads (≥ 1).
@@ -621,40 +415,110 @@ pub(crate) struct StreamParams {
     pub spill_dir: Option<std::path::PathBuf>,
 }
 
-/// Per-worker-slot in-flight tracking: which interval the slot is
-/// processing and how many of its cuts the sink has already seen. The
-/// supervisor reads it when a panic escapes the per-interval boundary,
-/// so even a dying worker body cannot lose an interval — it gets
-/// quarantined with an exact emission count instead.
+/// Where a worker's next queue entry comes from — the one thing the two
+/// engines' pools differ in.
+trait JobSource: Sync {
+    /// The next entry for worker `index`, waiting for one if the source
+    /// can still grow; `None` once it is exhausted for good.
+    fn next(&self, metrics: &ParaMetrics, index: usize) -> Option<Job>;
+}
+
+/// The online source: the bounded channel `submit` feeds. Exhausted when
+/// the sender is dropped and the queue has drained.
+impl JobSource for crossbeam_channel::Receiver<Job> {
+    fn next(&self, metrics: &ParaMetrics, index: usize) -> Option<Job> {
+        let wait = Instant::now();
+        let job = self.recv().ok()?;
+        metrics
+            .worker(index)
+            .add_idle(wait.elapsed().as_nanos() as u64);
+        metrics.queue_depth.sub(job.len() as u64);
+        Some(job)
+    }
+}
+
+/// The offline source: a finished poset's packed `→p` partition, popped
+/// under one lock — the paper's "workers pull events off the shared
+/// total order". It never waits, and stops handing out work once the
+/// sink has asked for a global stop.
+struct Partition<'a> {
+    queue: Mutex<&'a mut PackedIntervalQueue>,
+    stopped: &'a AtomicBool,
+}
+
+impl JobSource for Partition<'_> {
+    fn next(&self, _: &ParaMetrics, _: usize) -> Option<Job> {
+        if self.stopped.load(Ordering::Relaxed) {
+            return None;
+        }
+        self.queue.lock().pop_front().map(Job::One)
+    }
+}
+
+/// Per-worker-slot in-flight tracking: how many cuts of the slot's
+/// current interval the sink has already seen, and the interval itself
+/// once a worker body died inside it. The supervisor reads both when a
+/// panic escapes the per-interval boundary, so even a dying worker body
+/// cannot lose an interval — it gets quarantined with an exact emission
+/// count instead.
 #[derive(Default)]
 struct InFlightSlot {
+    /// Set by [`InFlight`] on unwind (and by the chaos worker kill).
     interval: Mutex<Option<Interval>>,
     /// The unprocessed tail of a coalesced [`Job::Many`] this slot is
     /// unrolling. Parked here (not held on the worker's stack) so a
     /// panic that escapes the per-interval boundary mid-batch cannot
-    /// drop the remainder — the respawned body, a survivor, or
-    /// `finish`'s inline drain picks it back up.
+    /// drop the remainder — the respawned body or the inline drain picks
+    /// it back up.
     backlog: Mutex<VecDeque<Interval>>,
     emitted: AtomicU64,
     /// Cooperative cancellation token the watchdog sets when the slot's
     /// interval overstays its deadline; cleared at every pickup.
     cancel: AtomicBool,
-    /// When the slot went busy, as milliseconds since the executor's
-    /// epoch *plus one* (0 = idle) — what the watchdog ages against.
+    /// When the slot went busy, as milliseconds since the pool's epoch
+    /// *plus one* (0 = idle) — what the watchdog ages against.
     busy_since_ms: AtomicU64,
+    /// Cuts this slot delivered to the sink (completed intervals plus
+    /// quarantined prefixes). Summed per run, so a registry shared
+    /// across runs does not blur [`PoolOutcome::cuts`].
+    delivered: AtomicU64,
+    /// Largest per-interval frontier storage this slot needed.
+    peak_frontiers: AtomicUsize,
 }
 
-struct StreamShared<Sp> {
-    space: Arc<Sp>,
+/// Registers an interval in its slot only if the worker body unwinds
+/// past it (a panic outside the executor's own isolation boundary), so
+/// the supervisor can quarantine it with the slot meter's exact delivered
+/// prefix — at no cost to an interval that returns.
+struct InFlight<'a> {
+    slot: &'a InFlightSlot,
+    interval: &'a Interval,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            *self.slot.interval.lock() = Some(self.interval.clone());
+        }
+    }
+}
+
+/// The one worker pool: everything workers, supervisor, watchdog and the
+/// inline drain share. `S` and `K` are how the space and the sink are
+/// held — `Arc<Sp>` / `Box<dyn ParallelCutSink>` under the online engine
+/// (the pool outlives any call), plain `&Sp` / `&K` under the offline
+/// one (scoped workers, static sink dispatch).
+struct Pool<S, K> {
+    space: S,
     exec: IntervalExecutor,
-    sink: Box<dyn ParallelCutSink>,
+    sink: K,
     stopped: AtomicBool,
     error: Mutex<Option<EnumError>>,
-    metrics: ParaMetrics,
-    /// Overflow intervals under [`BackpressurePolicy::SpillToDeque`],
-    /// delta-coded, with an optional cold tier on disk. Workers drain it
-    /// with priority; `finish` closes the channel only after producers
-    /// stop, so leftover spill is drained post-close.
+    metrics: Arc<ParaMetrics>,
+    /// Intervals waiting outside the source, delta-coded, with an
+    /// optional cold tier on disk: both halves of a preempted split, and
+    /// overflow under [`BackpressurePolicy::SpillToDeque`]. Workers drain
+    /// it with priority; what is left when they exit is drained inline.
     spill: Mutex<DurableIntervalQueue>,
     fault_log: Mutex<FaultLog>,
     in_flight: Box<[InFlightSlot]>,
@@ -676,9 +540,405 @@ struct StreamShared<Sp> {
     fault_state: crate::faults::FaultState,
 }
 
-impl<Sp> StreamShared<Sp> {
+/// What a finished pool produced; each front-end folds this into its
+/// public report.
+pub(crate) struct PoolOutcome {
+    pub error: Option<EnumError>,
+    /// The sink asked for a global stop.
+    pub stopped: bool,
+    /// Cuts the sink received in this run, quarantined prefixes included.
+    pub cuts: u64,
+    pub peak_frontiers: usize,
+    pub faults: FaultLog,
+    pub metrics: MetricsSnapshot,
+    /// Set when the hard watermark forced work to be shed mid-stream.
+    pub overload: Option<OverloadError>,
+}
+
+impl<S, K> Pool<S, K>
+where
+    S: Deref<Target: CutSpace>,
+    K: Deref<Target: ParallelCutSink>,
+{
+    /// A pool of `width` worker slots with a RAM-only spill and a byte
+    /// account of its own (no watermarks).
+    fn new(
+        space: S,
+        exec: IntervalExecutor,
+        sink: K,
+        metrics: Arc<ParaMetrics>,
+        width: usize,
+        restart_budget: u32,
+    ) -> Self {
+        assert!(width >= 1, "need at least one worker");
+        Pool {
+            spill: Mutex::new(DurableIntervalQueue::new(space.num_threads())),
+            space,
+            exec,
+            sink,
+            stopped: AtomicBool::new(false),
+            error: Mutex::new(None),
+            metrics,
+            fault_log: Mutex::new(FaultLog::default()),
+            in_flight: (0..width).map(|_| InFlightSlot::default()).collect(),
+            restart_budget: AtomicI64::new(i64::from(restart_budget)),
+            budget: Arc::new(MemoryBudget::new(GovernorConfig::default())),
+            overload: Mutex::new(None),
+            epoch: Instant::now(),
+            watchdog_stop: AtomicBool::new(false),
+            #[cfg(feature = "chaos")]
+            fault_state: crate::faults::FaultState::default(),
+        }
+    }
+
     fn slot(&self, index: usize) -> &InFlightSlot {
         &self.in_flight[index % self.in_flight.len()]
+    }
+
+    /// Starts one worker body per slot through `spawn` (plain or scoped —
+    /// the caller knows which). Spawn failures degrade the pool instead
+    /// of aborting the run: whatever workers did start carry the load,
+    /// and with none the front-end enumerates on its own thread.
+    fn spawn_workers<H>(
+        &self,
+        mut spawn: impl FnMut(std::thread::Builder, usize) -> std::io::Result<H>,
+    ) -> Vec<H> {
+        let mut workers = Vec::with_capacity(self.in_flight.len());
+        for w in 0..self.in_flight.len() {
+            #[cfg(feature = "chaos")]
+            if self.exec.faults.spawn_faults(self.fault_state.next_spawn()) {
+                self.metrics.worker_spawn_failures.add(1);
+                continue;
+            }
+            let builder = std::thread::Builder::new().name(format!("paramount-worker-{w}"));
+            match spawn(builder, w) {
+                Ok(handle) => workers.push(handle),
+                Err(_) => self.metrics.worker_spawn_failures.add(1),
+            }
+        }
+        workers
+    }
+
+    /// Starts the watchdog through `spawn`; it only exists when a deadline
+    /// is configured. If its spawn fails, preemption still works: workers
+    /// check the deadline inline at every visited cut; only a *stuck* sink
+    /// (one that never returns control) escapes detection without the
+    /// external thread.
+    fn spawn_watchdog<H>(
+        &self,
+        spawn: impl FnOnce(std::thread::Builder, Duration) -> std::io::Result<H>,
+    ) -> Option<H> {
+        let deadline = self.exec.interval_deadline?;
+        let builder = std::thread::Builder::new().name("paramount-watchdog".to_string());
+        spawn(builder, deadline).ok()
+    }
+
+    /// Abandons an interval into the fault log. The prefix the sink
+    /// already saw (`emitted` cuts, delivered before the fault) is added
+    /// to the cut total so the headline count stays exactly "cuts the
+    /// sink received".
+    fn quarantine(
+        &self,
+        interval: &Interval,
+        emitted: u64,
+        attempts: u32,
+        message: String,
+        index: usize,
+    ) {
+        self.metrics.intervals_quarantined.add(1);
+        if emitted > 0 {
+            self.metrics.cuts_emitted.add_on(index, emitted);
+            let delivered = &self.slot(index).delivered;
+            delivered.fetch_add(emitted, Ordering::Relaxed);
+        }
+        self.fault_log.lock().push(QuarantinedInterval {
+            interval: interval.clone(),
+            cuts_emitted: emitted,
+            attempts,
+            message,
+        });
+    }
+
+    /// Enumerates on the calling thread whatever no worker lived to
+    /// process — the rest of the source, batch tails parked in dead
+    /// workers' slots, the spill — so the outcome covers every dispatched
+    /// interval regardless of pool health (a pool that never spawned
+    /// included). Call after joining the workers, with the source closed.
+    fn drain_inline(&self, source: &impl JobSource) {
+        while let Some(job) = source.next(&self.metrics, 0) {
+            job.for_each(|interval| self.process_interval(&interval, 0));
+        }
+        for slot in self.in_flight.iter() {
+            loop {
+                let next = slot.backlog.lock().pop_front();
+                let Some(interval) = next else { break };
+                self.process_interval(&interval, 0);
+            }
+        }
+        while let Some(interval) = pop_spill(self) {
+            self.process_interval(&interval, 0);
+        }
+    }
+
+    /// Tells the watchdog to exit now rather than at its next tick; the
+    /// caller joins it.
+    fn stop_watchdog(&self, watchdog: Option<&std::thread::Thread>) {
+        self.watchdog_stop.store(true, Ordering::Relaxed);
+        if let Some(thread) = watchdog {
+            thread.unpark();
+        }
+    }
+
+    /// Reads out the run. Everything is read through `&self`, so a
+    /// leaked handle to the pool (a worker body still unwinding) degrades
+    /// nothing.
+    fn outcome(&self) -> PoolOutcome {
+        let slots = || self.in_flight.iter();
+        PoolOutcome {
+            error: self.error.lock().take(),
+            stopped: self.stopped.load(Ordering::Relaxed),
+            cuts: slots().map(|s| s.delivered.load(Ordering::Relaxed)).sum(),
+            peak_frontiers: slots()
+                .map(|s| s.peak_frontiers.load(Ordering::Relaxed))
+                .max()
+                .unwrap_or(0),
+            faults: self.fault_log.lock().clone(),
+            metrics: self.metrics.snapshot(),
+            overload: self.overload.lock().take(),
+        }
+    }
+
+    /// Worker thread entry: supervises [`Pool::worker_loop`], restarting
+    /// the body when a panic escapes the per-interval isolation (which
+    /// only happens for faults *outside* the executor's own
+    /// `catch_unwind` — e.g. an injected worker kill, or a panic in the
+    /// queue plumbing). The in-flight interval is quarantined before the
+    /// restart, so even a dying worker never loses work; the restart
+    /// budget is shared across the pool and a worker that exhausts it
+    /// simply exits, leaving its share to the survivors (and ultimately
+    /// to the inline drain).
+    fn worker_entry(&self, source: &impl JobSource, index: usize) {
+        loop {
+            let run = catch_unwind(AssertUnwindSafe(|| self.worker_loop(source, index)));
+            let payload = match run {
+                Ok(()) => return, // clean exit: source exhausted and spill drained
+                Err(payload) => payload,
+            };
+            self.metrics.worker_panics.add(1);
+            let slot = self.slot(index);
+            if let Some(interval) = slot.interval.lock().take() {
+                let emitted = slot.emitted.load(Ordering::Relaxed);
+                let message = panic_message(payload.as_ref());
+                self.quarantine(&interval, emitted, 1, message, index);
+            }
+            if self.restart_budget.fetch_sub(1, Ordering::Relaxed) > 0 {
+                self.metrics.worker_restarts.add(1);
+                continue; // phoenix: the same thread resumes as a fresh body
+            }
+            return; // budget exhausted: die quietly, survivors take over
+        }
+    }
+
+    /// Watchdog thread body: periodically ages every in-flight slot
+    /// against the configured deadline and raises the slot's cooperative
+    /// cancel token when an interval overstays. Workers observe the token
+    /// once per visited cut, so a tripped slot preempts at the next
+    /// emission — the watchdog never kills a thread, it only asks.
+    ///
+    /// A benign race exists by design: the watchdog may read a stale
+    /// `busy_since_ms` and cancel a slot that just picked up a *fresh*
+    /// interval. That early preemption is sound — the interval is split
+    /// or quarantined exactly like a genuine timeout — so no extra
+    /// synchronization is spent preventing it.
+    fn watchdog_entry(&self, deadline: Duration) {
+        let deadline_ms = deadline.as_millis() as u64;
+        let tick = (deadline / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
+        loop {
+            std::thread::park_timeout(tick);
+            if self.watchdog_stop.load(Ordering::Relaxed) {
+                return;
+            }
+            self.metrics.watchdog_wakeups.add(1);
+            let now_ms = self.epoch.elapsed().as_millis() as u64;
+            for slot in self.in_flight.iter() {
+                let started = slot.busy_since_ms.load(Ordering::Relaxed);
+                if started != 0 && now_ms.saturating_sub(started - 1) >= deadline_ms {
+                    slot.cancel.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    /// The one worker loop: spill first, then the source, until the
+    /// source is exhausted.
+    fn worker_loop(&self, source: &impl JobSource, index: usize) {
+        // A batch tail a previous body of this slot died inside: already
+        // dequeued and accounted, so it goes first. Only this slot's own
+        // `Job::Many` arm parks anything here, and it drains before
+        // looping, so once per body is enough.
+        self.drain_backlog(index);
+        loop {
+            // Spilled intervals are the oldest backlog, and checking here
+            // guarantees the buffer drains while the source is busy.
+            if let Some(interval) = pop_spill(self) {
+                self.process_worker_pickup(&interval, index);
+                continue;
+            }
+            match source.next(&self.metrics, index) {
+                Some(Job::One(interval)) => self.process_worker_pickup(&interval, index),
+                // Park the batch in the slot before touching any of it:
+                // the per-interval pop is what keeps a mid-batch worker
+                // death from losing the tail.
+                Some(Job::Many(batch)) => {
+                    self.slot(index).backlog.lock().extend(batch);
+                    self.drain_backlog(index);
+                }
+                None => break,
+            }
+        }
+        // The source is exhausted: whatever is left in the spill is the
+        // final backlog — drain it to completion.
+        while let Some(interval) = pop_spill(self) {
+            self.process_worker_pickup(&interval, index);
+        }
+    }
+
+    /// Drains the slot's parked batch tail one interval at a time,
+    /// popping *before* processing so the in-flight interval is never
+    /// duplicated in the backlog.
+    fn drain_backlog(&self, index: usize) {
+        loop {
+            let next = self.slot(index).backlog.lock().pop_front();
+            let Some(interval) = next else { return };
+            self.process_worker_pickup(&interval, index);
+        }
+    }
+
+    /// Processes one interval picked up on a worker thread. The chaos
+    /// worker-kill injection lives here rather than in
+    /// [`Pool::process_interval`] because the fault models a dying
+    /// *worker*: it must land under [`Pool::worker_entry`]'s supervisor,
+    /// never on the inline paths (degraded-mode `submit`, the inline
+    /// drain) where the caller thread has no quarantine-and-respawn
+    /// boundary above it. The interval is recorded in the slot first, so
+    /// the supervisor quarantines it — the injected death must not be
+    /// able to lose work either.
+    fn process_worker_pickup(&self, interval: &Interval, index: usize) {
+        #[cfg(feature = "chaos")]
+        if self
+            .exec
+            .faults
+            .pickup_kills_worker(self.fault_state.next_pickup())
+        {
+            let slot = self.slot(index);
+            slot.emitted.store(0, Ordering::Relaxed);
+            *slot.interval.lock() = Some(interval.clone());
+            panic!("chaos: worker killed at interval pickup");
+        }
+        self.process_interval(interval, index);
+    }
+
+    fn process_interval(&self, interval: &Interval, index: usize) {
+        self.process_with_deadline(interval, index, self.exec.interval_deadline);
+    }
+
+    /// Runs one interval under an optional deadline — the one
+    /// disposition both engines share. On preemption it depends on the
+    /// delivered prefix:
+    ///
+    /// * nothing delivered and the interval splits — reschedule both
+    ///   halves (each gets a fresh deadline, and each is strictly
+    ///   smaller, so repeated splitting terminates at single-cut leaves);
+    /// * nothing delivered and the interval is a single cut — rerun it
+    ///   once with the deadline off (a one-cut enumeration cannot be
+    ///   usefully split, and zero cuts were delivered so a rerun cannot
+    ///   duplicate);
+    /// * some cuts delivered — quarantine with the exact delivered
+    ///   prefix: rerunning would double-deliver, and exactly-once
+    ///   (Theorem 2/3) outranks completeness.
+    fn process_with_deadline(&self, interval: &Interval, index: usize, deadline: Option<Duration>) {
+        if self.stopped.load(Ordering::Relaxed) {
+            return; // drain without enumerating
+        }
+        #[cfg(feature = "chaos")]
+        if let Some(us) = self.exec.faults.worker_delay_us {
+            std::thread::sleep(std::time::Duration::from_micros(us));
+        }
+        let m = &*self.metrics;
+        let slot = self.slot(index);
+        let start = Instant::now();
+        // Marking the slot busy (and clearing any stale cancel) arms the
+        // watchdog for this pickup.
+        slot.cancel.store(false, Ordering::Relaxed);
+        slot.busy_since_ms.store(
+            start.duration_since(self.epoch).as_millis() as u64 + 1,
+            Ordering::Relaxed,
+        );
+        let control = deadline.map(|d| PreemptControl {
+            cancel: &slot.cancel,
+            deadline_at: Some(start + d),
+        });
+        let outcome = {
+            let _in_flight = InFlight { slot, interval };
+            self.exec.run_isolated(
+                &*self.space,
+                interval,
+                &*self.sink,
+                m,
+                &slot.emitted,
+                control.as_ref(),
+            )
+        };
+        slot.busy_since_ms.store(0, Ordering::Relaxed);
+        let tally = m.worker(index);
+        tally.add_busy(start.elapsed().as_nanos() as u64);
+        tally.add_interval();
+        match outcome {
+            Ok(stats) => {
+                m.cuts_emitted.add_on(index, stats.cuts);
+                m.intervals_completed.add_on(index, 1);
+                m.interval_cuts.record(stats.cuts);
+                slot.delivered.fetch_add(stats.cuts, Ordering::Relaxed);
+                slot.peak_frontiers
+                    .fetch_max(stats.peak_frontiers, Ordering::Relaxed);
+            }
+            Err(IntervalFault::Error(EnumError::Stopped)) => {
+                self.stopped.store(true, Ordering::Relaxed);
+            }
+            Err(IntervalFault::Error(err)) => {
+                self.stopped.store(true, Ordering::Relaxed);
+                self.error.lock().get_or_insert(err);
+            }
+            Err(IntervalFault::Panicked {
+                emitted,
+                attempts,
+                message,
+            }) => self.quarantine(interval, emitted, attempts, message, index),
+            Err(IntervalFault::Preempted { emitted }) => {
+                m.intervals_preempted.add(1);
+                if emitted == 0 {
+                    if let Some((lo, hi)) = interval.split(&*self.space) {
+                        // Both halves go through the spill buffer: workers
+                        // drain it with priority, and the inline drain
+                        // covers a dead pool, so neither half can be lost.
+                        m.intervals_split.add(1);
+                        m.intervals_dispatched.add(2);
+                        spill_push(self, &lo);
+                        spill_push(self, &hi);
+                    } else {
+                        self.process_with_deadline(interval, index, None);
+                    }
+                } else {
+                    self.quarantine(
+                        interval,
+                        emitted,
+                        1,
+                        format!("preempted after {emitted} delivered cuts (deadline expired)"),
+                        index,
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -688,9 +948,16 @@ impl<Sp> StreamShared<Sp> {
 /// accounting mirror of [`spill_push`] and [`freeze_spill_to_disk`].
 ///
 /// A cold batch that cannot be read back is a real loss (its intervals
-/// are unrecoverable in-process), so the failure stops the stream with a
+/// are unrecoverable in-process), so the failure stops the run with a
 /// typed error instead of silently under-counting.
-fn pop_spill<Sp>(shared: &StreamShared<Sp>) -> Option<Interval> {
+fn pop_spill<S, K>(shared: &Pool<S, K>) -> Option<Interval> {
+    // A queued entry keeps one of the two gauges above zero (they rise
+    // under the queue lock, and fall only after the pop), so zero on both
+    // means nothing to pop: skip the lock. The instant inside another
+    // thread's push is that thread's to follow up.
+    if shared.metrics.spill_bytes.get() == 0 && shared.metrics.disk_spill_bytes.get() == 0 {
+        return None;
+    }
     let mut queue = shared.spill.lock();
     let ram_before = queue.ram_byte_len();
     let disk_before = queue.disk_byte_len();
@@ -698,13 +965,9 @@ fn pop_spill<Sp>(shared: &StreamShared<Sp>) -> Option<Interval> {
     let ram_after = queue.ram_byte_len();
     let disk_after = queue.disk_byte_len();
     drop(queue);
-    let disk_freed = disk_before.saturating_sub(disk_after);
-    if disk_freed > 0 {
-        shared.budget.credit_disk(disk_freed);
-        shared.metrics.disk_spill_bytes.sub(disk_freed as u64);
-    }
     if ram_after > ram_before {
-        // Thawed a cold batch: its packed bytes are resident again.
+        // Thawed a cold batch: its packed bytes are resident again
+        // (raised before the disk gauge drops, for the probe above).
         shared.budget.charge_spill(ram_after - ram_before);
         shared
             .metrics
@@ -716,6 +979,11 @@ fn pop_spill<Sp>(shared: &StreamShared<Sp>) -> Option<Interval> {
             .metrics
             .spill_bytes
             .sub((ram_before - ram_after) as u64);
+    }
+    let disk_freed = disk_before.saturating_sub(disk_after);
+    if disk_freed > 0 {
+        shared.budget.credit_disk(disk_freed);
+        shared.metrics.disk_spill_bytes.sub(disk_freed as u64);
     }
     match popped {
         Ok(interval) => interval,
@@ -733,7 +1001,7 @@ fn pop_spill<Sp>(shared: &StreamShared<Sp>) -> Option<Interval> {
 /// delta to the shared budget (watermark input) and the per-engine
 /// spill-size gauge. Under memory pressure the hot deque then freezes
 /// onto the cold disk tier, if one is attached with headroom.
-fn spill_push<Sp>(shared: &StreamShared<Sp>, interval: &Interval) {
+fn spill_push<S, K>(shared: &Pool<S, K>, interval: &Interval) {
     let mut queue = shared.spill.lock();
     let before = queue.ram_byte_len();
     queue.push_back(interval);
@@ -751,7 +1019,7 @@ fn spill_push<Sp>(shared: &StreamShared<Sp>, interval: &Interval) {
 /// deque is empty, or the write failed — every one of those leaves the
 /// deque in RAM, losing nothing, and the caller falls back to the
 /// RAM-only behavior.
-fn freeze_spill_to_disk<Sp>(shared: &StreamShared<Sp>, queue: &mut DurableIntervalQueue) -> bool {
+fn freeze_spill_to_disk<S, K>(shared: &Pool<S, K>, queue: &mut DurableIntervalQueue) -> bool {
     // The batch payload is the hot bytes plus a small varint header.
     if !queue.has_disk() || !shared.budget.disk_can_accept(queue.hot_byte_len() + 8) {
         return false;
@@ -781,7 +1049,7 @@ fn freeze_spill_to_disk<Sp>(shared: &StreamShared<Sp>, queue: &mut DurableInterv
 /// after admission, the interval stays queued in RAM — over budget but
 /// exact — because reporting it shed *and* later enumerating it would
 /// break Theorem 2's exactly-once accounting.
-fn spill_through_disk<Sp>(shared: &StreamShared<Sp>, interval: &Interval) -> bool {
+fn spill_through_disk<S, K>(shared: &Pool<S, K>, interval: &Interval) -> bool {
     let mut queue = shared.spill.lock();
     if !queue.has_disk() || !shared.budget.disk_can_accept(queue.hot_byte_len() + 8) {
         return false;
@@ -795,12 +1063,79 @@ fn spill_through_disk<Sp>(shared: &StreamShared<Sp>, interval: &Interval) -> boo
     true
 }
 
-/// Streaming mode: a supervised worker pool draining a bounded channel
-/// of intervals as a front-end `submit`s them. The online engine wraps
-/// this around its growing poset; any `CutSpace` whose published prefix
-/// is stable under concurrent growth works.
+/// Supervisor restarts an offline run may spend — the online engine's
+/// default (`OnlineEngineConfig::worker_restart_budget`).
+const PARTITION_RESTART_BUDGET: u32 = 8;
+
+/// The offline engine's entry point: `width` scoped workers pull the
+/// packed `→p` partition through the pool — no channel, no producer
+/// thread — and the caller's thread enumerates whatever they left
+/// behind (everything, if none could be spawned).
+pub(crate) fn run_partition<Sp, K>(
+    exec: IntervalExecutor,
+    width: usize,
+    space: &Sp,
+    queue: &mut PackedIntervalQueue,
+    sink: &K,
+    metrics: Arc<ParaMetrics>,
+) -> PoolOutcome
+where
+    Sp: CutSpace + Sync + ?Sized,
+    K: ParallelCutSink + ?Sized,
+{
+    #[cfg(feature = "chaos")]
+    if exec.faults.arms_sink() {
+        let chaos = ChaosSink::new(exec.faults, sink);
+        return run_partition_on(exec, width, space, queue, &chaos, metrics);
+    }
+    run_partition_on(exec, width, space, queue, sink, metrics)
+}
+
+fn run_partition_on<Sp, K>(
+    exec: IntervalExecutor,
+    width: usize,
+    space: &Sp,
+    queue: &mut PackedIntervalQueue,
+    sink: &K,
+    metrics: Arc<ParaMetrics>,
+) -> PoolOutcome
+where
+    Sp: CutSpace + Sync + ?Sized,
+    K: ParallelCutSink + ?Sized,
+{
+    metrics.intervals_dispatched.add(queue.len() as u64);
+    // Preempted halves go to the pool's spill, never back into the
+    // partition: `Auto` reads a non-empty spill as memory pressure.
+    let pool = &Pool::new(space, exec, sink, metrics, width, PARTITION_RESTART_BUDGET);
+    let source = &Partition {
+        queue: Mutex::new(queue),
+        stopped: &pool.stopped,
+    };
+    std::thread::scope(|scope| {
+        let watchdog = pool.spawn_watchdog(|builder, deadline| {
+            builder.spawn_scoped(scope, move || pool.watchdog_entry(deadline))
+        });
+        let workers = pool.spawn_workers(|builder, w| {
+            builder.spawn_scoped(scope, move || pool.worker_entry(source, w))
+        });
+        for handle in workers {
+            // The supervisor already accounted for a worker that died
+            // past the restart budget; joining must not re-raise it.
+            let _ = handle.join();
+        }
+        pool.drain_inline(source);
+        pool.stop_watchdog(watchdog.as_ref().map(|handle| handle.thread()));
+    });
+    pool.outcome()
+}
+
+/// The online engine's pool handle: worker threads that outlive any one
+/// call, draining a bounded channel of intervals as a front-end
+/// `submit`s them. The online engine wraps this around its growing
+/// poset; any `CutSpace` whose published prefix is stable under
+/// concurrent growth works.
 pub(crate) struct StreamExecutor<Sp: CutSpace + Send + Sync + 'static> {
-    shared: Arc<StreamShared<Sp>>,
+    shared: Arc<Pool<Arc<Sp>, Box<dyn ParallelCutSink>>>,
     sender: Option<crossbeam_channel::Sender<Job>>,
     /// Tiny intervals awaiting coalescence into one queue entry; flushed
     /// when full, when a non-tiny interval arrives (order-preserving),
@@ -817,21 +1152,10 @@ pub(crate) struct StreamExecutor<Sp: CutSpace + Send + Sync + 'static> {
     backpressure: BackpressurePolicy,
 }
 
-/// What a finished stream produced; the online front-end folds this into
-/// its public report.
-pub(crate) struct StreamOutcome {
-    pub error: Option<EnumError>,
-    pub faults: FaultLog,
-    pub metrics: MetricsSnapshot,
-    /// Set when the hard watermark forced work to be shed mid-stream.
-    pub overload: Option<OverloadError>,
-}
-
 impl<Sp: CutSpace + Send + Sync + 'static> StreamExecutor<Sp> {
-    /// Starts the pool. Spawn failures degrade the pool instead of
-    /// aborting construction: whatever workers did start carry the load,
-    /// and with zero workers `submit` falls back to enumerating inline
-    /// on the calling thread (slow, but complete and alive).
+    /// Starts the pool. With zero spawned workers `submit` falls back to
+    /// enumerating inline on the calling thread (slow, but complete and
+    /// alive).
     pub fn new(
         space: Arc<Sp>,
         exec: IntervalExecutor,
@@ -839,7 +1163,6 @@ impl<Sp: CutSpace + Send + Sync + 'static> StreamExecutor<Sp> {
         sink: Box<dyn ParallelCutSink>,
         budget: Arc<MemoryBudget>,
     ) -> Self {
-        assert!(params.workers >= 1, "need at least one worker");
         assert!(params.queue_capacity >= 1, "queue capacity must be >= 1");
         #[cfg(feature = "chaos")]
         let sink: Box<dyn ParallelCutSink> = if exec.faults.arms_sink() {
@@ -848,62 +1171,34 @@ impl<Sp: CutSpace + Send + Sync + 'static> StreamExecutor<Sp> {
             sink
         };
         let n = space.num_threads();
-        // A cold tier that fails to open degrades to the RAM-only deque,
-        // mirroring how worker spawn failures degrade the pool: the run
-        // stays alive and correct, just without the relief valve.
-        let spill = match params.spill_dir.as_deref() {
-            Some(dir) => DurableIntervalQueue::with_disk(n, dir)
-                .unwrap_or_else(|_| DurableIntervalQueue::new(n)),
-            None => DurableIntervalQueue::new(n),
-        };
-        let shared = Arc::new(StreamShared {
+        let mut pool = Pool::new(
             space,
             exec,
             sink,
-            stopped: AtomicBool::new(false),
-            error: Mutex::new(None),
-            metrics: ParaMetrics::new(params.workers),
-            spill: Mutex::new(spill),
-            fault_log: Mutex::new(FaultLog::default()),
-            in_flight: (0..params.workers)
-                .map(|_| InFlightSlot::default())
-                .collect(),
-            restart_budget: AtomicI64::new(i64::from(params.worker_restart_budget)),
-            budget,
-            overload: Mutex::new(None),
-            epoch: Instant::now(),
-            watchdog_stop: AtomicBool::new(false),
-            #[cfg(feature = "chaos")]
-            fault_state: crate::faults::FaultState::default(),
-        });
-        let (sender, receiver) = crossbeam_channel::bounded::<Job>(params.queue_capacity);
-        let mut workers = Vec::with_capacity(params.workers);
-        for w in 0..params.workers {
-            #[cfg(feature = "chaos")]
-            if exec.faults.spawn_faults(shared.fault_state.next_spawn()) {
-                shared.metrics.worker_spawn_failures.add(1);
-                continue;
-            }
-            let worker_shared = Arc::clone(&shared);
-            let receiver = receiver.clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("paramount-worker-{w}"))
-                .spawn(move || worker_entry(&worker_shared, &receiver, w));
-            match spawned {
-                Ok(handle) => workers.push(handle),
-                Err(_) => shared.metrics.worker_spawn_failures.add(1),
-            }
+            Arc::new(ParaMetrics::new(params.workers)),
+            params.workers,
+            params.worker_restart_budget,
+        );
+        pool.budget = budget;
+        // A cold tier that fails to open degrades to the RAM-only deque,
+        // mirroring how worker spawn failures degrade the pool: the run
+        // stays alive and correct, just without the relief valve.
+        if let Some(Ok(spill)) = params
+            .spill_dir
+            .as_deref()
+            .map(|dir| DurableIntervalQueue::with_disk(n, dir))
+        {
+            pool.spill = Mutex::new(spill);
         }
-        // The watchdog only exists when a deadline is configured. If its
-        // spawn fails, preemption still works: workers check the deadline
-        // inline at every visited cut; only a *stuck* sink (one that never
-        // returns control) escapes detection without the external thread.
-        let watchdog = exec.interval_deadline.and_then(|deadline| {
-            let watchdog_shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("paramount-watchdog".to_string())
-                .spawn(move || watchdog_entry(&watchdog_shared, deadline))
-                .ok()
+        let shared = Arc::new(pool);
+        let (sender, receiver) = crossbeam_channel::bounded::<Job>(params.queue_capacity);
+        let workers = shared.spawn_workers(|builder, w| {
+            let (pool, receiver) = (Arc::clone(&shared), receiver.clone());
+            builder.spawn(move || pool.worker_entry(&receiver, w))
+        });
+        let watchdog = shared.spawn_watchdog(|builder, deadline| {
+            let pool = Arc::clone(&shared);
+            builder.spawn(move || pool.watchdog_entry(deadline))
         });
         StreamExecutor {
             shared,
@@ -952,7 +1247,7 @@ impl<Sp: CutSpace + Send + Sync + 'static> StreamExecutor<Sp> {
         if self.workers.is_empty() {
             // Degraded mode (no worker could be spawned): enumerate on
             // the calling thread so nothing queues unserved.
-            process_interval(&self.shared, &interval, 0);
+            self.shared.process_interval(&interval, 0);
             return;
         }
         #[cfg(feature = "chaos")]
@@ -962,15 +1257,8 @@ impl<Sp: CutSpace + Send + Sync + 'static> StreamExecutor<Sp> {
             .faults
             .send_faults(self.shared.fault_state.next_send())
         {
-            record_quarantine(
-                m,
-                &self.shared.fault_log,
-                &interval,
-                0,
-                1,
-                "chaos: queue send failed".to_string(),
-                0,
-            );
+            let message = "chaos: queue send failed".to_string();
+            self.shared.quarantine(&interval, 0, 1, message, 0);
             return;
         }
         if interval.box_size() <= BATCH_TINY_BOX {
@@ -1073,7 +1361,7 @@ impl<Sp: CutSpace + Send + Sync + 'static> StreamExecutor<Sp> {
 
     /// Closes the stream, waits for all pending intervals — queued *and*
     /// spilled — to drain, and reports the final tallies.
-    pub fn finish(mut self) -> StreamOutcome {
+    pub fn finish(mut self) -> PoolOutcome {
         // Dropping the sender closes the channel; workers drain what is
         // queued, then (channel closed ⇒ no producer ⇒ spill is frozen)
         // drain the spill buffer, then exit. No interval is lost.
@@ -1113,45 +1401,12 @@ impl<Sp: CutSpace + Send + Sync + 'static> StreamExecutor<Sp> {
         // join, so no worker slot is contended) to keep the exactly-once
         // cover complete.
         for interval in &leftover {
-            process_interval(&self.shared, interval, 0);
+            self.shared.process_interval(interval, 0);
         }
-        // If the whole pool died (or never spawned), queued and spilled
-        // intervals are still pending — drain them inline so the report
-        // covers every dispatched interval regardless of pool health.
-        while let Ok(job) = self.receiver.try_recv() {
-            self.shared.metrics.queue_depth.sub(job.len() as u64);
-            job.for_each(|interval| process_interval(&self.shared, &interval, 0));
-        }
-        // A worker that died past its restart budget may have parked the
-        // tail of a coalesced batch in its slot — no survivor reads
-        // another slot's backlog, so it drains here.
-        for slot in self.shared.in_flight.iter() {
-            loop {
-                let next = slot.backlog.lock().pop_front();
-                let Some(interval) = next else { break };
-                process_interval(&self.shared, &interval, 0);
-            }
-        }
-        while let Some(interval) = pop_spill(&self.shared) {
-            process_interval(&self.shared, &interval, 0);
-        }
-        self.shared.watchdog_stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.watchdog.take() {
-            let _ = handle.join();
-        }
+        self.shared.drain_inline(&self.receiver);
         let shared = Arc::clone(&self.shared);
-        drop(self); // Drop is a no-op now: sender taken, workers joined.
-                    // Deliberately no `Arc::try_unwrap`: everything the outcome needs
-                    // is readable through the shared handle, so a leaked clone (a
-                    // worker body still unwinding, an embedder's debug handle)
-                    // degrades nothing and can no longer abort finalize.
-        let outcome = StreamOutcome {
-            error: shared.error.lock().take(),
-            faults: shared.fault_log.lock().clone(),
-            metrics: shared.metrics.snapshot(),
-            overload: shared.overload.lock().take(),
-        };
-        outcome
+        drop(self); // stops and joins the watchdog; the rest is a no-op now
+        shared.outcome()
     }
 }
 
@@ -1161,292 +1416,9 @@ impl<Sp: CutSpace + Send + Sync + 'static> Drop for StreamExecutor<Sp> {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        self.shared.watchdog_stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.watchdog.take() {
+            self.shared.stop_watchdog(Some(handle.thread()));
             let _ = handle.join();
-        }
-    }
-}
-
-/// Worker thread entry: supervises [`worker_loop`], restarting the body
-/// when a panic escapes the per-interval isolation (which only happens
-/// for faults *outside* the executor's own `catch_unwind` — e.g. an
-/// injected worker kill, or a panic in the queue plumbing). The
-/// in-flight interval is quarantined before the restart, so even a dying
-/// worker never loses work; the restart budget is shared across the pool
-/// and a worker that exhausts it simply exits, leaving its queue share
-/// to the survivors (and ultimately to `finish`'s inline drain).
-fn worker_entry<Sp: CutSpace>(
-    shared: &StreamShared<Sp>,
-    receiver: &crossbeam_channel::Receiver<Job>,
-    index: usize,
-) {
-    loop {
-        let run = catch_unwind(AssertUnwindSafe(|| worker_loop(shared, receiver, index)));
-        let payload = match run {
-            Ok(()) => return, // clean exit: channel closed and spill drained
-            Err(payload) => payload,
-        };
-        shared.metrics.worker_panics.add(1);
-        let slot = shared.slot(index);
-        if let Some(interval) = slot.interval.lock().take() {
-            let emitted = slot.emitted.load(Ordering::Relaxed);
-            record_quarantine(
-                &shared.metrics,
-                &shared.fault_log,
-                &interval,
-                emitted,
-                1,
-                panic_message(payload.as_ref()),
-                index,
-            );
-        }
-        if shared.restart_budget.fetch_sub(1, Ordering::Relaxed) > 0 {
-            shared.metrics.worker_restarts.add(1);
-            continue; // phoenix: the same thread resumes as a fresh body
-        }
-        return; // budget exhausted: die quietly, survivors take over
-    }
-}
-
-/// Watchdog thread body: periodically ages every in-flight slot against
-/// the configured deadline and raises the slot's cooperative cancel
-/// token when an interval overstays. Workers observe the token once per
-/// visited cut, so a tripped slot preempts at the next emission — the
-/// watchdog never kills a thread, it only asks.
-///
-/// A benign race exists by design: the watchdog may read a stale
-/// `busy_since_ms` and cancel a slot that just picked up a *fresh*
-/// interval. That early preemption is sound — the interval is split or
-/// quarantined exactly like a genuine timeout — so no extra
-/// synchronization is spent preventing it.
-fn watchdog_entry<Sp>(shared: &StreamShared<Sp>, deadline: Duration) {
-    let deadline_ms = deadline.as_millis() as u64;
-    let tick = (deadline / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
-    loop {
-        std::thread::sleep(tick);
-        if shared.watchdog_stop.load(Ordering::Relaxed) {
-            return;
-        }
-        shared.metrics.watchdog_wakeups.add(1);
-        let now_ms = shared.epoch.elapsed().as_millis() as u64;
-        for slot in shared.in_flight.iter() {
-            let started = slot.busy_since_ms.load(Ordering::Relaxed);
-            if started != 0 && now_ms.saturating_sub(started - 1) >= deadline_ms {
-                slot.cancel.store(true, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-fn worker_loop<Sp: CutSpace>(
-    shared: &StreamShared<Sp>,
-    receiver: &crossbeam_channel::Receiver<Job>,
-    index: usize,
-) {
-    loop {
-        // Batch remainder first: these intervals were already dequeued
-        // and accounted, and may be the tail of a batch a previous body
-        // of this slot died inside.
-        if drain_backlog(shared, index) {
-            continue;
-        }
-        // Spill next: overflow intervals are the oldest backlog, and
-        // checking here guarantees the buffer drains while the channel is
-        // busy (spill only grows when the channel is full, so there is
-        // always traffic to piggyback on).
-        if let Some(interval) = pop_spill(shared) {
-            process_worker_pickup(shared, &interval, index);
-            continue;
-        }
-        let wait = Instant::now();
-        match receiver.recv() {
-            Ok(job) => {
-                shared
-                    .metrics
-                    .worker(index)
-                    .add_idle(wait.elapsed().as_nanos() as u64);
-                shared.metrics.queue_depth.sub(job.len() as u64);
-                match job {
-                    Job::One(interval) => process_worker_pickup(shared, &interval, index),
-                    // Park the batch in the slot before touching any of
-                    // it: the per-interval pop below is what keeps a
-                    // mid-batch worker death from losing the tail.
-                    Job::Many(batch) => {
-                        shared.slot(index).backlog.lock().extend(batch);
-                        drain_backlog(shared, index);
-                    }
-                }
-            }
-            Err(_) => break, // channel closed: producers are done
-        }
-    }
-    // The channel is closed, so no new spill can appear: whatever is left
-    // in the buffer is the final backlog — drain it to completion.
-    while let Some(interval) = pop_spill(shared) {
-        process_worker_pickup(shared, &interval, index);
-    }
-}
-
-/// Drains the slot's parked batch tail one interval at a time, popping
-/// *before* processing so the in-flight interval is never duplicated in
-/// the backlog. Returns true if it processed anything.
-fn drain_backlog<Sp: CutSpace>(shared: &StreamShared<Sp>, index: usize) -> bool {
-    let mut any = false;
-    loop {
-        let next = shared.slot(index).backlog.lock().pop_front();
-        let Some(interval) = next else { return any };
-        any = true;
-        process_worker_pickup(shared, &interval, index);
-    }
-}
-
-/// Processes one interval picked up on a worker thread. The chaos
-/// worker-kill injection lives here rather than in [`process_interval`]
-/// because the fault models a dying *worker*: it must land under
-/// [`worker_entry`]'s supervisor, never on the inline drain paths
-/// (degraded-mode `submit`, `finish`) where the caller thread has no
-/// quarantine-and-respawn boundary above it.
-fn process_worker_pickup<Sp: CutSpace>(
-    shared: &StreamShared<Sp>,
-    interval: &Interval,
-    index: usize,
-) {
-    #[cfg(feature = "chaos")]
-    chaos_maybe_kill_worker(shared, interval, index);
-    process_interval(shared, interval, index);
-}
-
-/// Injection point for the "kill a worker mid-interval" fault: records
-/// the interval in the slot first, so the supervisor quarantines it —
-/// the injected death must not be able to lose work either.
-#[cfg(feature = "chaos")]
-fn chaos_maybe_kill_worker<Sp>(shared: &StreamShared<Sp>, interval: &Interval, index: usize) {
-    if shared
-        .exec
-        .faults
-        .pickup_kills_worker(shared.fault_state.next_pickup())
-    {
-        let slot = shared.slot(index);
-        slot.emitted.store(0, Ordering::Relaxed);
-        *slot.interval.lock() = Some(interval.clone());
-        panic!("chaos: worker killed at interval pickup");
-    }
-}
-
-fn process_interval<Sp: CutSpace>(shared: &StreamShared<Sp>, interval: &Interval, index: usize) {
-    process_with_deadline(shared, interval, index, shared.exec.interval_deadline);
-}
-
-/// Runs one interval under an optional deadline. On preemption the
-/// disposition depends on the delivered prefix:
-///
-/// * nothing delivered and the interval splits — reschedule both halves
-///   (each gets a fresh deadline, and each is strictly smaller, so
-///   repeated splitting terminates at single-cut leaves);
-/// * nothing delivered and the interval is a single cut — rerun it once
-///   with the deadline off (a one-cut enumeration cannot be usefully
-///   split, and zero cuts were delivered so a rerun cannot duplicate);
-/// * some cuts delivered — quarantine with the exact delivered prefix:
-///   rerunning would double-deliver, and exactly-once (Theorem 2/3)
-///   outranks completeness.
-fn process_with_deadline<Sp: CutSpace>(
-    shared: &StreamShared<Sp>,
-    interval: &Interval,
-    index: usize,
-    deadline: Option<Duration>,
-) {
-    if shared.stopped.load(Ordering::Relaxed) {
-        return; // drain without enumerating
-    }
-    #[cfg(feature = "chaos")]
-    if let Some(us) = shared.exec.faults.worker_delay_us {
-        std::thread::sleep(std::time::Duration::from_micros(us));
-    }
-    let m = &shared.metrics;
-    let slot = shared.slot(index);
-    let start = Instant::now();
-    // Register the in-flight interval so the supervisor can quarantine
-    // it if this body dies outside the executor's isolation boundary;
-    // the slot's meter makes the delivered prefix observable across any
-    // unwind. Marking the slot busy (and clearing any stale cancel)
-    // arms the watchdog for this pickup.
-    slot.cancel.store(false, Ordering::Relaxed);
-    slot.busy_since_ms.store(
-        shared.epoch.elapsed().as_millis() as u64 + 1,
-        Ordering::Relaxed,
-    );
-    *slot.interval.lock() = Some(interval.clone());
-    let control = deadline.map(|d| PreemptControl {
-        cancel: &slot.cancel,
-        deadline_at: Some(Instant::now() + d),
-    });
-    let outcome = shared.exec.run_isolated(
-        shared.space.as_ref(),
-        interval,
-        shared.sink.as_ref(),
-        m,
-        &slot.emitted,
-        control.as_ref(),
-    );
-    *slot.interval.lock() = None;
-    slot.busy_since_ms.store(0, Ordering::Relaxed);
-    let tally = m.worker(index);
-    tally.add_busy(start.elapsed().as_nanos() as u64);
-    tally.add_interval();
-    match outcome {
-        Ok(stats) => {
-            m.cuts_emitted.add_on(index, stats.cuts);
-            m.intervals_completed.add_on(index, 1);
-            m.interval_cuts.record(stats.cuts);
-        }
-        Err(IntervalFault::Error(EnumError::Stopped)) => {
-            shared.stopped.store(true, Ordering::Relaxed);
-        }
-        Err(IntervalFault::Error(err)) => {
-            shared.stopped.store(true, Ordering::Relaxed);
-            shared.error.lock().get_or_insert(err);
-        }
-        Err(IntervalFault::Panicked {
-            emitted,
-            attempts,
-            message,
-        }) => {
-            record_quarantine(
-                m,
-                &shared.fault_log,
-                interval,
-                emitted,
-                attempts,
-                message,
-                index,
-            );
-        }
-        Err(IntervalFault::Preempted { emitted }) => {
-            m.intervals_preempted.add(1);
-            if emitted == 0 {
-                if let Some((lo, hi)) = interval.split(shared.space.as_ref()) {
-                    // Both halves go through the spill buffer: workers
-                    // drain it with priority, and `finish`'s inline drain
-                    // covers a dead pool, so neither half can be lost.
-                    m.intervals_split.add(1);
-                    m.intervals_dispatched.add(2);
-                    spill_push(shared, &lo);
-                    spill_push(shared, &hi);
-                } else {
-                    process_with_deadline(shared, interval, index, None);
-                }
-            } else {
-                record_quarantine(
-                    m,
-                    &shared.fault_log,
-                    interval,
-                    emitted,
-                    1,
-                    format!("preempted after {emitted} delivered cuts (deadline expired)"),
-                    index,
-                );
-            }
         }
     }
 }
@@ -1454,7 +1426,7 @@ fn process_with_deadline<Sp: CutSpace>(
 /// Chaos wrapper over a sink handle: panics *before* delegating on
 /// plan-selected calls, so an injected fault never half-delivers a cut —
 /// the emission meter and the real sink agree exactly on what was seen.
-/// One type serves both modes: batch wraps `&K`, streaming wraps
+/// One type serves both engines: offline wraps `&K`, online wraps
 /// `Box<dyn ParallelCutSink>`.
 #[cfg(feature = "chaos")]
 struct ChaosSink<H> {
@@ -1498,6 +1470,15 @@ mod tests {
     use super::*;
     use paramount_poset::{EventId, Frontier, Tid};
 
+    fn executor(algorithm: Algorithm) -> IntervalExecutor {
+        IntervalExecutor {
+            algorithm,
+            frontier_budget: None,
+            interval_deadline: None,
+            faults: FaultPlan::default(),
+        }
+    }
+
     fn interval_with_box(width: u32) -> Interval {
         // Two threads; the owner thread is pinned, the other spans
         // `width` values, so box_size == width.
@@ -1514,7 +1495,7 @@ mod tests {
         let metrics = ParaMetrics::new(0);
         let iv = interval_with_box(1 << 20);
         for algo in Algorithm::CONCRETE {
-            let exec = IntervalExecutor::new(algo);
+            let exec = executor(algo);
             assert_eq!(exec.resolve_algorithm(&iv, &metrics), algo);
         }
         let snap = metrics.snapshot();
@@ -1524,7 +1505,7 @@ mod tests {
     #[test]
     fn auto_routes_by_box_size_and_counts_decisions() {
         let metrics = ParaMetrics::new(0);
-        let exec = IntervalExecutor::new(Algorithm::Auto);
+        let exec = executor(Algorithm::Auto);
         let threshold = paramount_enumerate::AUTO_BOX_THRESHOLD as u32;
         assert_eq!(
             exec.resolve_algorithm(&interval_with_box(threshold), &metrics),
@@ -1544,7 +1525,7 @@ mod tests {
     #[test]
     fn spill_pressure_collapses_the_threshold() {
         let metrics = ParaMetrics::new(0);
-        let exec = IntervalExecutor::new(Algorithm::Auto);
+        let exec = executor(Algorithm::Auto);
         let iv = interval_with_box(AUTO_PRESSURE_THRESHOLD as u32);
         assert_eq!(
             exec.resolve_algorithm(&iv, &metrics),
@@ -1568,7 +1549,7 @@ mod tests {
     #[test]
     fn observed_large_intervals_calibrate_the_threshold_down() {
         let metrics = ParaMetrics::new(0);
-        let exec = IntervalExecutor::new(Algorithm::Auto);
+        let exec = executor(Algorithm::Auto);
         let base = paramount_enumerate::AUTO_BOX_THRESHOLD as u32;
         let iv = interval_with_box(base / 2 + 1); // between base/2 and base
         assert_eq!(exec.resolve_algorithm(&iv, &metrics), Algorithm::Lexical);

@@ -53,9 +53,9 @@ pub struct GovernorConfig {
     /// size and becomes a ceiling on *RAM*. Work is shed only once the
     /// disk tier itself would exceed this cap (`None` = uncapped).
     pub disk_spill_bytes: Option<usize>,
-    /// Deadline for one in-flight interval. When set, a watchdog thread
-    /// (streaming mode) or an inline per-cut check (both modes) preempts
-    /// an interval that overstays: it is split into independently
+    /// Deadline for one in-flight interval. When set, the pool's watchdog
+    /// thread or an inline per-cut check (offline and online alike)
+    /// preempts an interval that overstays: it is split into independently
     /// schedulable sub-intervals if nothing was delivered yet, or
     /// quarantined with its exact delivered prefix otherwise.
     pub interval_deadline: Option<Duration>,

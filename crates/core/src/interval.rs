@@ -1,6 +1,5 @@
 //! The interval partition of the cut lattice (§3.1, Definitions 1–2).
 
-use crate::sink::{ParallelCutSink, SinkBridge};
 use paramount_enumerate::{Algorithm, CutSink, EnumError, EnumStats};
 use paramount_poset::{CutSpace, EventId, Frontier};
 use std::ops::ControlFlow;
@@ -69,22 +68,6 @@ impl Interval {
             algorithm.run_bounded_budgeted(space, &self.gmin, &self.gbnd, frontier_budget, sink)?;
         stats.cuts += extra;
         Ok(stats)
-    }
-
-    /// As [`Interval::enumerate`], but into a shared [`ParallelCutSink`] —
-    /// the worker-side form used by both execution modes.
-    pub fn enumerate_shared<Sp, K>(
-        &self,
-        space: &Sp,
-        algorithm: Algorithm,
-        sink: &K,
-    ) -> Result<EnumStats, EnumError>
-    where
-        Sp: CutSpace + ?Sized,
-        K: ParallelCutSink + ?Sized,
-    {
-        let mut bridge = SinkBridge::new(sink, self.event);
-        self.enumerate(space, algorithm, &mut bridge)
     }
 
     /// Number of *potential* cuts in the bounding box `[gmin, gbnd]` —

@@ -23,9 +23,9 @@
 //!
 //! This crate provides both execution modes:
 //!
-//! * [`offline`] — Algorithm 1: partition a complete poset and fan the
-//!   intervals out over a Rayon pool (work stealing soaks up the wildly
-//!   uneven interval sizes).
+//! * [`offline`] — Algorithm 1: partition a complete poset and let scoped
+//!   workers pull the intervals off the shared `→p` order one at a time
+//!   (which soaks up the wildly uneven interval sizes).
 //! * [`online`] — Algorithm 4: events arrive one at a time *while the
 //!   program under observation is still running*; each insertion atomically
 //!   computes its interval from a snapshot of the current maximal events
@@ -34,9 +34,9 @@
 //!   enumerations proceed concurrently with insertions (Theorem 3).
 //!
 //! Both modes are thin front-ends over one interval-execution core
-//! ([`exec`]): the same subroutine dispatch, panic-isolation boundary,
-//! retry/quarantine protocol and metrics registry serve batch and
-//! streaming execution alike.
+//! ([`exec`]): one worker pool with the same subroutine dispatch,
+//! panic-isolation boundary, split/retry/quarantine protocol and metrics
+//! registry, fed from a finished partition or from a live channel.
 //!
 //! Consumers receive cuts through [`ParallelCutSink`], the `Sync` analog of
 //! the sequential [`paramount_enumerate::CutSink`].
@@ -52,7 +52,6 @@ pub mod online;
 mod sink;
 pub mod store;
 
-pub use exec::IntervalExecutor;
 pub use faults::{FaultLog, FaultPlan, Outcome, QuarantinedInterval};
 pub use governor::{BudgetSnapshot, GovernorConfig, MemoryBudget, OverloadError, Pressure};
 pub use interval::{measure_interval_work, partition, partition_packed, Interval};

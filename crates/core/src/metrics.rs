@@ -523,7 +523,7 @@ metric_table! {
     MetricsSnapshot {
         /// Events inserted into the (online) poset.
         Counter events_inserted, text(1, "events inserted", ALWAYS, "");
-        /// Intervals handed to the worker pool (or the Rayon scheduler).
+        /// Intervals handed to the worker pool.
         Counter intervals_dispatched, text(2, "intervals dispatched", ALWAYS, "");
         /// Intervals fully enumerated.
         Counter intervals_completed, text(3, "intervals completed", ALWAYS, "");

@@ -5,22 +5,24 @@
 //! is why ParaMount is work-optimal), then enumerate the intervals in
 //! parallel with a bounded sequential subroutine.
 //!
-//! The paper's workers pull events off a shared total order; here the
-//! same dynamic load balancing comes from Rayon's work stealing over the
-//! interval list. Interval sizes are extremely skewed — late events in
-//! `→p` own cut counts orders of magnitude larger than early ones — so
-//! static chunking would idle most threads; stealing is essential to the
-//! Figure 10/11 speedup shapes.
+//! The paper's workers pull events off a shared total order, and so do
+//! these: the packed partition is one queue every worker pops from under
+//! one lock. Interval sizes are extremely skewed — late events in `→p`
+//! own cut counts orders of magnitude larger than early ones — so static
+//! chunking would idle most threads; pulling one interval at a time is
+//! essential to the Figure 10/11 speedup shapes.
 //!
-//! This type is a *front-end*: all per-interval machinery — subroutine
-//! dispatch, panic isolation, the retry/quarantine protocol, chaos
-//! injection, metrics — lives in the shared [`crate::exec`] core. The
-//! offline engine's only jobs are ordering, partitioning, and folding a
-//! batch outcome into [`ParaStats`].
+//! This type is a *front-end*: the worker pool and all per-interval
+//! machinery — subroutine dispatch, panic isolation, the
+//! split/retry/quarantine protocol, supervision, chaos injection,
+//! metrics — live in the shared [`crate::exec`] core, which the online
+//! engine feeds from a channel instead. The offline engine's only jobs
+//! are ordering, partitioning, and folding the pool's outcome into
+//! [`ParaStats`].
 
-use crate::exec::IntervalExecutor;
+use crate::exec::{run_partition, IntervalExecutor};
 use crate::faults::{FaultLog, FaultPlan};
-use crate::interval::{partition_packed, Interval};
+use crate::interval::partition_packed;
 use crate::metrics::{MetricsSnapshot, ParaMetrics};
 use crate::sink::ParallelCutSink;
 use crate::store::PackedIntervalQueue;
@@ -28,23 +30,13 @@ use paramount_enumerate::{Algorithm, EnumError};
 use paramount_poset::{topo, CutSpace, EventId};
 use std::sync::Arc;
 
-/// Intervals unpacked per [`ParaMount::enumerate_packed`] drain step.
-///
-/// Large enough that work stealing still sees a deep batch (interval
-/// sizes are wildly skewed, so a chunk this size keeps every thread fed),
-/// small enough that the unpacked `Vec<Interval>` — two `Frontier`
-/// allocations per entry — stays a rounding error next to the packed
-/// byte buffer holding the rest of the partition.
-pub const BATCH_CHUNK: usize = 4096;
-
 /// Configuration and entry points for offline parallel enumeration.
 ///
 /// `B-Para` in the paper is `ParaMount { algorithm: Bfs, .. }`; `L-Para`
 /// is `ParaMount { algorithm: Lexical, .. }`. `Algorithm::Auto` defers
 /// the choice to the executor, which picks the lexical scan or the
 /// space-efficient leveled walk per interval from the interval's box
-/// size and live memory-pressure signals (see the adaptive-dispatch
-/// notes on [`crate::exec::IntervalExecutor`]).
+/// size and live memory-pressure signals (DESIGN.md §5e).
 ///
 /// ```
 /// use paramount::{Algorithm, AtomicCountSink, ParaMount};
@@ -71,9 +63,9 @@ pub const BATCH_CHUNK: usize = 4096;
 pub struct ParaMount {
     /// The bounded sequential subroutine run on each interval.
     pub algorithm: Algorithm,
-    /// Worker threads. `0` uses Rayon's global default pool; any other
-    /// value builds a dedicated pool of exactly that size (the knob behind
-    /// the paper's `(1) (2) (4) (8)` columns).
+    /// Worker threads: `0` means one per available CPU
+    /// ([`std::thread::available_parallelism`]), any other value exactly
+    /// that many (the knob behind the paper's `(1) (2) (4) (8)` columns).
     pub threads: usize,
     /// Per-interval frontier budget for the stateful subroutines (BFS /
     /// DFS). Partitioning is itself the paper's cure for BFS memory blowup:
@@ -95,7 +87,7 @@ pub struct ParaMount {
 }
 
 impl ParaMount {
-    /// ParaMount over the given subroutine, on the default pool.
+    /// ParaMount over the given subroutine, one worker per available CPU.
     pub fn new(algorithm: Algorithm) -> Self {
         ParaMount {
             algorithm,
@@ -123,7 +115,7 @@ impl ParaMount {
         self
     }
 
-    /// Sets the worker-thread count (0 = Rayon default).
+    /// Sets the worker-thread count (0 = one per available CPU).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -141,25 +133,6 @@ impl ParaMount {
     pub fn with_metrics(mut self, metrics: Arc<ParaMetrics>) -> Self {
         self.metrics = Some(metrics);
         self
-    }
-
-    /// The interval-execution core this configuration describes.
-    fn executor(&self) -> IntervalExecutor {
-        IntervalExecutor {
-            algorithm: self.algorithm,
-            frontier_budget: self.frontier_budget,
-            interval_deadline: self.interval_deadline,
-            faults: self.faults,
-        }
-    }
-
-    /// Worker slots the metrics registry should carry for this config.
-    fn pool_width(&self) -> usize {
-        if self.threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            self.threads
-        }
     }
 
     /// Enumerates every consistent cut of `space` exactly once, in
@@ -189,10 +162,9 @@ impl ParaMount {
     }
 
     /// Enumerates a delta-coded interval queue (what
-    /// [`partition_packed`] builds), draining it in bounded chunks so at
-    /// most [`BATCH_CHUNK`] intervals are ever unpacked at once — the
-    /// rest of the partition stays one contiguous varint buffer instead
-    /// of two heap `Frontier`s per event.
+    /// [`partition_packed`] builds). Workers pop and unpack one interval
+    /// at a time, so the partition stays one contiguous varint buffer
+    /// instead of two heap `Frontier`s per event.
     pub fn enumerate_packed<Sp, K>(
         &self,
         space: &Sp,
@@ -203,100 +175,53 @@ impl ParaMount {
         Sp: CutSpace + Sync + ?Sized,
         K: ParallelCutSink + ?Sized,
     {
-        if queue.is_empty() {
-            return self.enumerate_intervals(space, &[], sink);
-        }
-        let owned_registry;
-        let registry: &ParaMetrics = match &self.metrics {
-            Some(shared) => shared.as_ref(),
-            None => {
-                owned_registry = ParaMetrics::new(self.pool_width());
-                &owned_registry
-            }
+        let width = match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads => threads,
         };
-        let total = queue.len();
-        let mut cuts = 0u64;
-        let mut peak_frontiers = 0usize;
-        let mut faults = FaultLog::default();
-        let mut chunk: Vec<Interval> = Vec::with_capacity(total.min(BATCH_CHUNK));
-        while !queue.is_empty() {
-            chunk.clear();
-            while chunk.len() < BATCH_CHUNK {
-                match queue.pop_front() {
-                    Some(interval) => chunk.push(interval),
-                    None => break,
-                }
-            }
-            let batch = self
-                .executor()
-                .run_batch(self.threads, space, &chunk, sink, registry)?;
-            cuts += batch.cuts;
-            peak_frontiers = peak_frontiers.max(batch.peak_frontiers);
-            faults.quarantined.extend(batch.faults.quarantined);
-        }
-        Ok(ParaStats {
-            cuts,
-            intervals: total,
-            peak_frontiers,
-            faults,
-            metrics: registry.snapshot(),
-        })
-    }
-
-    /// Enumerates a pre-computed interval list (the online engine and the
-    /// ablation benchmarks call this directly).
-    pub fn enumerate_intervals<Sp, K>(
-        &self,
-        space: &Sp,
-        intervals: &[Interval],
-        sink: &K,
-    ) -> Result<ParaStats, EnumError>
-    where
-        Sp: CutSpace + Sync + ?Sized,
-        K: ParallelCutSink + ?Sized,
-    {
         // A shared registry accumulates across calls; a fresh one scopes
         // the snapshot to exactly this run.
-        let owned_registry;
-        let registry: &ParaMetrics = match &self.metrics {
-            Some(shared) => shared.as_ref(),
-            None => {
-                owned_registry = ParaMetrics::new(self.pool_width());
-                &owned_registry
-            }
+        let metrics = match &self.metrics {
+            Some(shared) => Arc::clone(shared),
+            None => Arc::new(ParaMetrics::new(width)),
         };
-
+        let intervals = queue.len();
         // Special case: an empty poset still has its one empty cut, but no
         // event interval carries it.
-        if intervals.is_empty() {
+        if intervals == 0 {
             let empty = paramount_poset::Frontier::empty(space.num_threads());
             // No event exists to own the empty cut; report a placeholder id.
             let placeholder = EventId::new(paramount_poset::Tid(0), 1);
-            return match sink.visit(empty.as_cut(), placeholder) {
-                std::ops::ControlFlow::Continue(()) => {
-                    registry.cuts_emitted.add(1);
-                    Ok(ParaStats {
-                        cuts: 1,
-                        intervals: 0,
-                        peak_frontiers: 1,
-                        faults: FaultLog::default(),
-                        metrics: registry.snapshot(),
-                    })
-                }
-                std::ops::ControlFlow::Break(()) => Err(EnumError::Stopped),
-            };
+            if sink.visit(empty.as_cut(), placeholder).is_break() {
+                return Err(EnumError::Stopped);
+            }
+            metrics.cuts_emitted.add(1);
+            return Ok(ParaStats {
+                cuts: 1,
+                intervals,
+                peak_frontiers: 1,
+                faults: FaultLog::default(),
+                metrics: metrics.snapshot(),
+            });
         }
-
-        let batch = self
-            .executor()
-            .run_batch(self.threads, space, intervals, sink, registry)?;
-        Ok(ParaStats {
-            cuts: batch.cuts,
-            intervals: intervals.len(),
-            peak_frontiers: batch.peak_frontiers,
-            faults: batch.faults,
-            metrics: registry.snapshot(),
-        })
+        let exec = IntervalExecutor {
+            algorithm: self.algorithm,
+            frontier_budget: self.frontier_budget,
+            interval_deadline: self.interval_deadline,
+            faults: self.faults,
+        };
+        let outcome = run_partition(exec, width, space, queue, sink, metrics);
+        match outcome.error {
+            Some(err) => Err(err),
+            None if outcome.stopped => Err(EnumError::Stopped),
+            None => Ok(ParaStats {
+                cuts: outcome.cuts,
+                intervals,
+                peak_frontiers: outcome.peak_frontiers,
+                faults: outcome.faults,
+                metrics: outcome.metrics,
+            }),
+        }
     }
 }
 
@@ -565,18 +490,119 @@ mod tests {
         use crate::faults::FaultPlan;
         for seed in [3u64, 17, 99] {
             let p = RandomComputation::new(3, 5, 0.4, seed).generate();
-            let counter = AtomicCountSink::new();
+            let sink_panics = FaultPlan {
+                seed,
+                sink_panic_every: Some(11),
+                ..FaultPlan::default()
+            };
+            // The third pickup kills its worker outside the per-interval
+            // boundary: the supervisor quarantines the in-flight interval
+            // and restarts the body.
+            let worker_kill = FaultPlan {
+                worker_kill_at: Some(3),
+                ..FaultPlan::default()
+            };
+            // No worker spawns: the caller's thread drains everything.
+            let no_pool = FaultPlan {
+                spawn_fail_first: 2,
+                ..FaultPlan::default()
+            };
+            for plan in [sink_panics, worker_kill, no_pool] {
+                let counter = AtomicCountSink::new();
+                let stats = ParaMount::new(Algorithm::Lexical)
+                    .with_threads(2)
+                    .with_faults(plan)
+                    .enumerate(&p, &counter)
+                    .unwrap();
+                assert_eq!(counter.count(), stats.cuts, "meter vs sink, seed {seed}");
+                assert_exact_partition(&p, &stats);
+                let m = &stats.metrics;
+                assert_eq!(
+                    m.intervals_completed + m.intervals_quarantined,
+                    m.intervals_dispatched
+                );
+                if plan == worker_kill {
+                    assert_eq!((m.worker_panics, m.worker_restarts), (1, 1));
+                    assert_eq!(stats.faults.len(), 1, "the in-flight interval");
+                    assert_eq!(stats.faults.quarantined[0].cuts_emitted, 0);
+                }
+                if plan == no_pool {
+                    assert_eq!(m.worker_spawn_failures, 2);
+                    assert!(stats.outcome().is_complete());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_deadline_splits_to_leaves_and_matches_the_oracle() {
+        // A zero deadline preempts every interval before its first
+        // delivery: each is split (both halves through the spill) down
+        // to single-cut leaves, which rerun deadline-free. Nothing is
+        // ever delivered before a preemption, so nothing is quarantined.
+        let p = RandomComputation::new(3, 5, 0.4, 23).generate();
+        let expected = oracle::enumerate_product_scan(&p);
+        for threads in [1, 2] {
+            let sink = ConcurrentCollectSink::new();
             let stats = ParaMount::new(Algorithm::Lexical)
-                .with_threads(2)
-                .with_faults(FaultPlan {
-                    seed,
-                    sink_panic_every: Some(11),
-                    ..FaultPlan::default()
-                })
-                .enumerate(&p, &counter)
+                .with_threads(threads)
+                .with_interval_deadline(Some(std::time::Duration::ZERO))
+                .enumerate(&p, &sink)
                 .unwrap();
-            assert_eq!(counter.count(), stats.cuts, "meter vs sink, seed {seed}");
-            assert_exact_partition(&p, &stats);
+            assert_eq!(oracle::canonicalize(sink.into_cuts()), expected);
+            assert_eq!(stats.cuts as usize, expected.len());
+            assert!(stats.outcome().is_complete(), "x{threads}");
+            let m = &stats.metrics;
+            assert_eq!(m.intervals_quarantined, 0);
+            assert!(m.intervals_split >= 1);
+            // One leaf per cut, except that the empty cut rides with the
+            // first event's lowest leaf.
+            assert_eq!(m.intervals_completed as usize + 1, expected.len());
+            assert_eq!(
+                m.intervals_completed + m.intervals_split,
+                m.intervals_dispatched
+            );
+            assert_eq!(m.spill_bytes, 0, "spill drained");
+        }
+    }
+
+    /// The "one executor" claim as an assertion: the same posets through
+    /// both front-ends give the same cut set and the same interval
+    /// ledger, because the same pool ran the same intervals.
+    #[test]
+    fn offline_and_online_agree_on_cuts_and_interval_ledger() {
+        use crate::online::{OnlineEngine, OnlineEngineConfig};
+        for seed in 0..6 {
+            let p = RandomComputation::new(4, 5, 0.4, seed).generate();
+            let offline_sink = ConcurrentCollectSink::new();
+            let offline = ParaMount::new(Algorithm::Lexical)
+                .with_threads(2)
+                .enumerate(&p, &offline_sink)
+                .unwrap();
+
+            let online_sink = Arc::new(ConcurrentCollectSink::new());
+            let in_engine = Arc::clone(&online_sink);
+            let config = OnlineEngineConfig {
+                workers: 2,
+                ..OnlineEngineConfig::default()
+            };
+            let engine = OnlineEngine::new(4, config, move |cut: CutRef<'_>, owner| {
+                in_engine.visit(cut, owner)
+            });
+            engine.observe_poset(&p);
+            let online = engine.finish();
+
+            assert!(online.is_complete() && offline.outcome().is_complete());
+            assert_eq!(
+                oracle::canonicalize(offline_sink.into_cuts()),
+                oracle::canonicalize(online_sink.take_cuts()),
+                "seed {seed}"
+            );
+            assert_eq!(offline.cuts, online.cuts);
+            let (a, b) = (&offline.metrics, &online.metrics);
+            assert_eq!(a.intervals_dispatched, b.intervals_dispatched);
+            assert_eq!(a.intervals_completed, b.intervals_completed);
+            assert_eq!(a.interval_cuts, b.interval_cuts, "seed {seed}");
         }
     }
 

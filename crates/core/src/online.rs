@@ -14,11 +14,11 @@
 //! atomic block, and everything downstream of `observe_*` — the bounded
 //! dispatch queue with its [`BackpressurePolicy`], the supervised worker
 //! pool, panic isolation, retry/quarantine, metrics — is the shared
-//! streaming executor in [`crate::exec`]. Unlike the offline mode there
-//! is no Rayon in that pool: intervals must start the moment they are
-//! created (work arrives as a stream, not a batch) and the pool must
-//! outlive any single call, so it is a hand-built crossbeam-channel
-//! fan-out. Every run records into a
+//! executor in [`crate::exec`], the same pool the offline engine runs.
+//! Only the source differs: intervals must start the moment they are
+//! created (work arrives as a stream, not a finished partition) and the
+//! pool must outlive any single call, so its workers are plain threads
+//! fed by a crossbeam channel. Every run records into a
 //! [`ParaMetrics`](crate::metrics::ParaMetrics) registry — queue depth,
 //! per-interval cut counts, worker busy/idle time, insertion
 //! critical-section time — surfaced in [`OnlineReport::metrics`].
@@ -195,8 +195,7 @@ pub struct OnlineEngineConfig {
     /// Bounded subroutine for each interval (the paper defaults to the
     /// lexical algorithm for online detection). `Algorithm::Auto` lets
     /// the executor pick lexical vs. the space-efficient leveled walk
-    /// per interval from box size and memory pressure (see
-    /// [`crate::exec::IntervalExecutor`]).
+    /// per interval from box size and memory pressure (DESIGN.md §5e).
     pub algorithm: Algorithm,
     /// Enumeration worker threads (≥ 1).
     pub workers: usize,
@@ -431,7 +430,7 @@ impl<P: Send + Sync + 'static> OnlineEngine<P> {
         // run charged so a shared budget sees the memory come back.
         budget.credit_retained(retained);
         OnlineReport {
-            cuts: outcome.metrics.cuts_emitted,
+            cuts: outcome.cuts,
             events: poset.num_events() as u64,
             error: outcome.error,
             faults: outcome.faults,

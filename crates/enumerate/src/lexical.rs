@@ -54,6 +54,13 @@ pub fn enumerate<Sp: CutSpace + ?Sized, S: CutSink>(
 
 /// Enumerates every consistent cut `G` with `gmin ≤ G ≤ gbnd` in lexical
 /// order — the ParaMount subroutine (Lemma 1: exactly once each).
+///
+/// Never inlined: as its own function the loop is compiled the same
+/// whatever calls it. Inlined into `Algorithm::run_bounded_budgeted`'s
+/// four-way dispatch (which LLVM does or does not do depending on the
+/// shape of the executor above it) it cost `offline-detect` 4–6 % of
+/// its `cuts_per_s` (CHANGES.md, PR 16).
+#[inline(never)]
 pub fn enumerate_bounded<Sp: CutSpace + ?Sized, S: CutSink>(
     poset: &Sp,
     gmin: &Frontier,
