@@ -118,9 +118,13 @@ fn wire_ops(trace: &TraceFile) -> Vec<(usize, WireOp)> {
 fn run_script(dir: &Path, hello: &Hello, ops: &[(usize, WireOp)]) -> Vec<(u64, u64, FaultLog)> {
     let guard = Arc::new(FenceGuard::new());
     guard.grant_at(0, 5, 60_000);
-    let mut store =
-        SessionStore::create(dir, 1, hello, store_config(5, false, Some(Arc::clone(&guard))))
-            .expect("create store");
+    let mut store = SessionStore::create(
+        dir,
+        1,
+        hello,
+        store_config(5, false, Some(Arc::clone(&guard))),
+    )
+    .expect("create store");
     let mut checkpoints = Vec::new();
     for (i, (tid, op)) in ops.iter().enumerate() {
         store.append_event(*tid, op).expect("append");
@@ -217,7 +221,10 @@ fn every_truncation_recovers_the_committed_prefix_and_resumes_to_the_oracle() {
     };
     let dir = scratch_dir("full");
     let checkpoints = run_script(&dir, &hello, &ops);
-    assert!(checkpoints.len() >= 4, "the script crosses four checkpoints");
+    assert!(
+        checkpoints.len() >= 4,
+        "the script crosses four checkpoints"
+    );
 
     // The surviving log, as bytes per segment and as records.
     let segments: Vec<(PathBuf, Vec<u8>)> = segment_files(&dir)
@@ -306,7 +313,10 @@ fn every_truncation_recovers_the_committed_prefix_and_resumes_to_the_oracle() {
             let rec = SessionStore::recover(&crash_dir, store_config(6, true, None))
                 .unwrap_or_else(|err| panic!("offset {offset}: recover failed: {err}"));
             let Some(rec) = rec else {
-                assert!(!want.identified, "offset {offset}: a committed session vanished");
+                assert!(
+                    !want.identified,
+                    "offset {offset}: a committed session vanished"
+                );
                 continue;
             };
             assert!(want.identified, "offset {offset}: a session from no META");
