@@ -24,7 +24,10 @@ USAGE:
                                [--idle-timeout-ms MS] [--write-timeout-ms MS]
                                [--soft-spill-bytes N] [--hard-spill-bytes N]
                                [--interval-deadline-ms MS] [--busy-retry-ms MS]
-                               [--data-dir DIR] [--checkpoint-events N]
+                               [--data-dir DIR]   (durable sessions: WAL, RESUME)
+                               [--checkpoint-events N]   (how often the quarantine
+                                   ledger and tally are made durable; events replay
+                                   from the WAL itself)
                                [--fsync always|ondemand|never] [--disk-spill-bytes N]
                                [--first-session-id N] [--proto-max 1|2]
   paramount fleet              [--listen ADDR]

@@ -85,7 +85,8 @@ pub struct ServeOptions {
     /// checkpoints, crash recovery on boot, `RESUME` support, and
     /// disk-backed interval spill.
     pub data_dir: Option<PathBuf>,
-    /// Checkpoint interval in accepted events (`--checkpoint-events`).
+    /// Accepted events between checkpoint records — the quarantine
+    /// ledger and tally made durable (`--checkpoint-events`).
     pub checkpoint_events: Option<u64>,
     /// WAL fsync policy (`--fsync always|ondemand|never`).
     pub fsync: Option<String>,

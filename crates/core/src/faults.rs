@@ -158,11 +158,6 @@ pub struct FaultPlan {
     /// applied this many EVENT frames — the "session killed mid-stream"
     /// fault. Exercises `EndReason::Fault` finalization.
     pub session_panic_after: Option<u64>,
-    /// Durable store only: crash the k-th checkpoint (1-based) *after*
-    /// its record is durably appended but *before* the WAL segments it
-    /// supersedes are deleted — the widest compaction crash window.
-    /// Recovery must apply last-checkpoint-wins over the leftovers.
-    pub checkpoint_panic_at: Option<u64>,
 }
 
 impl FaultPlan {

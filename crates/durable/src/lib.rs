@@ -9,10 +9,10 @@
 //!   (the engine crates re-export it from here, so there is exactly one
 //!   implementation in the workspace).
 //! * [`wal`] — a segmented append-only log of length-prefixed,
-//!   CRC32-checksummed records with torn-tail truncation on open,
-//!   configurable fsync policy, and LSM-style compaction: a checkpoint
-//!   record written through [`wal::Wal::compact`] supersedes every
-//!   earlier segment, which are then deleted.
+//!   CRC32-checksummed records with torn-tail truncation on open, a
+//!   configurable fsync policy, and snapshot compaction for logs whose
+//!   state is bounded: a record written through [`wal::Wal::compact`]
+//!   supersedes every earlier segment, which are then deleted.
 //! * [`fifo`] — [`fifo::DiskQueue`], an on-disk FIFO of checksummed
 //!   byte batches backing the cold tier of the interval spill queue.
 //!   Deliberately *not* fsynced: the WAL is authoritative and a crash

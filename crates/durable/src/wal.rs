@@ -29,12 +29,17 @@
 //!
 //! # Compaction
 //!
-//! [`Wal::compact`] writes one record (a checkpoint, by convention)
-//! into a *fresh* segment, fsyncs it, and then deletes every earlier
-//! segment — LSM-style supersession. A crash between the fsync and the
-//! deletes leaves stale segments *behind* a newer checkpoint; replay
-//! order is preserved, so a reader that honors "the last checkpoint
-//! wins" recovers identically.
+//! [`Wal::compact`] writes one record (a snapshot of the caller's whole
+//! state) into a *fresh* segment, fsyncs it, and then deletes every
+//! earlier segment. A crash between the fsync and the deletes leaves
+//! stale segments *behind* a newer snapshot; replay order is preserved,
+//! so a reader that honors "the last snapshot wins" recovers
+//! identically. It has one caller, the fleet router's manifest, and is
+//! legitimate there because that state is bounded — one line per shard
+//! and per migrated session, however many updates were journaled — so
+//! the snapshot is smaller than the log it replaces. A session's state
+//! is its whole accepted event sequence, which no snapshot shortens;
+//! session stores therefore never compact.
 
 use crate::crc32::crc32;
 use crate::varint;
@@ -381,12 +386,12 @@ impl Wal {
         Ok(())
     }
 
-    /// LSM-style compaction: writes `payload` (a checkpoint record, by
-    /// convention) as the sole record of a fresh segment, fsyncs it,
-    /// then deletes every earlier segment. On return the log holds
-    /// exactly one segment whose first record is the checkpoint; a
-    /// crash mid-way leaves extra older segments that replay *before*
-    /// the checkpoint, which a last-checkpoint-wins reader ignores.
+    /// Compaction: writes `payload` (a snapshot record) as the sole
+    /// record of a fresh segment, fsyncs it, then deletes every earlier
+    /// segment. On return the log holds exactly one segment whose first
+    /// record is the snapshot; a crash mid-way leaves extra older
+    /// segments that replay *before* the snapshot, which a
+    /// last-snapshot-wins reader ignores.
     pub fn compact(&mut self, kind: u8, payload: &[u8]) -> io::Result<usize> {
         self.rotate()?;
         let mut buf = Vec::with_capacity(payload.len() + 16);

@@ -30,8 +30,8 @@
 //! *migrates* every durable session directory out of the dead shard's
 //! subroot into a survivor's (an atomic `rename` on the shared
 //! filesystem) and records the new home. The surviving shard's lazy
-//! `RESUME` recovery then rebuilds the session from its checkpoint +
-//! WAL exactly as if it had crashed locally, and the client —
+//! `RESUME` recovery then rebuilds the session from its WAL exactly
+//! as if it had crashed locally, and the client —
 //! redirected by its next `ROUTE session=<id>` — re-sends only the
 //! unacked tail. Theorem 3 makes this exact: the cut count is a pure
 //! function of the accepted event prefix, and the prefix is whatever

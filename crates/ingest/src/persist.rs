@@ -12,29 +12,46 @@
 //! held. Pending intervals, recorder frontiers, and engine queues are
 //! all derived state and are never written down.
 //!
-//! # LSM-style checkpoints
+//! # Checkpoints
 //!
-//! An ever-growing WAL would make recovery O(session length) in disk
-//! reads *and* keep every segment alive. Every
-//! [`StoreConfig::checkpoint_every`] accepted events the store folds the
-//! log: a `CHECKPOINT` record — the full accepted prefix plus the acked
-//! count and quarantine tally — is written as the sole record of a
-//! fresh segment and every earlier segment is deleted
-//! ([`Wal::compact`]). A crash between the checkpoint append and the
-//! deletions leaves stale segments whose records all precede the
-//! checkpoint; replay applies **last-checkpoint-wins**, resetting the
-//! event list whenever a later checkpoint appears, so the leftovers are
-//! harmless. The `chaos` feature's `checkpoint_panic_at` fault crashes
-//! inside exactly that window to prove it.
+//! Replay regenerates everything except what the *crashed* engine gave
+//! up on: the quarantine tally and the exact `[Gmin, Gbnd]` ledger (the
+//! recovered engine retries that work and usually succeeds). Every
+//! [`StoreConfig::checkpoint_every`] accepted events the store appends
+//! one `CHECKPOINT` record holding exactly that — the `META` line, an
+//! `acked=<n> quarantined=<q>` header, one `QUAR` line per ledger entry
+//! — in place, behind the events it follows, and syncs it. It copies no
+//! events: the delta since the previous checkpoint already is the log's
+//! `E`/`F` records, and a copy of the prefix is as long as the records
+//! it would supersede, so folding the log costs O(session length) per
+//! checkpoint and shrinks nothing. A checkpoint smaller than the log
+//! needs the engine to retire a prefix; until it can, the log is the
+//! smallest faithful checkpoint, and no segment is deleted before a
+//! clean `END` deletes the whole store.
+//!
+//! `acked` is a cross-check, not a cursor: recovery counts the event
+//! records it replays and refuses — an `io::Error` naming both counts —
+//! a checkpoint whose `acked` differs. A log with a gap is no longer a
+//! prefix of the accepted sequence, and replaying it would enumerate a
+//! computation that never ran. A torn or missing checkpoint is an
+//! ordinary torn tail: the events before it replay and the previous
+//! checkpoint's ledger stands.
+//!
+//! Earlier builds folded the log instead: their checkpoints also carry
+//! the whole prefix as `EVENT` lines, and the segments before them are
+//! gone. Recovery still reads those lines (they replace the replayed
+//! list, then the same `acked` check applies), so existing data dirs
+//! resume; nothing writes them any more.
 //!
 //! # Record encoding
 //!
 //! Payloads reuse the wire protocol's line grammar verbatim — a `META`
 //! record is `<id> <HELLO line>`, an `EVENT` record is the `EVENT` line
-//! itself, and a `CHECKPOINT` is a header line followed by `EVENT`
-//! lines. The WAL's length-prefix + CRC framing supplies integrity; the
-//! text form means one codec ([`crate::proto`]) serves the socket and
-//! the disk, and `strings wal-0000000001.log` shows a legible session.
+//! itself, and a `CHECKPOINT` is the `META` line, a header line and
+//! `QUAR` lines. The WAL's length-prefix + CRC framing supplies
+//! integrity; the text form means one codec ([`crate::proto`]) serves
+//! the socket and the disk, and `strings wal-0000000001.log` shows a
+//! legible session.
 //!
 //! # Fencing epochs
 //!
@@ -58,9 +75,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use paramount::{
-    EventId, FaultLog, FaultPlan, Frontier, IngestMetrics, Interval, QuarantinedInterval, Tid,
-};
+use paramount::{EventId, FaultLog, Frontier, IngestMetrics, Interval, QuarantinedInterval, Tid};
 use paramount_durable::{FsyncPolicy, Record, Wal, WalConfig};
 
 use crate::lease::FenceGuard;
@@ -72,30 +87,30 @@ pub const META_KIND: u8 = b'M';
 pub const EVENT_KIND: u8 = b'E';
 /// Record kind byte: one accepted event, `paramount/2` binary body
 /// ([`crate::wire2::encode_event_record`] — a self-contained frame, no
-/// cross-record interning, so checkpoints can rewrite any subset).
+/// cross-record interning, so every record decodes on its own).
 pub const EVENT2_KIND: u8 = b'F';
-/// Record kind byte: LSM checkpoint (full accepted prefix).
+/// Record kind byte: checkpoint (identity, acked count, quarantine tally
+/// and ledger — see the module docs).
 pub const CHECKPOINT_KIND: u8 = b'C';
 
 /// Knobs a [`SessionStore`] is built with (server-level policy).
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
-    /// Write a checkpoint (and drop superseded WAL segments) every this
-    /// many accepted events. `0` disables automatic checkpoints.
+    /// Make the quarantine tally and ledger durable (one checkpoint
+    /// record) every this many accepted events. `0` disables automatic
+    /// checkpoints.
     pub checkpoint_every: u64,
     /// When WAL appends reach stable storage. `FLUSH` and checkpoints
     /// force regardless under [`FsyncPolicy::OnDemand`].
     pub fsync: FsyncPolicy,
-    /// Seeded fault plan; the store honors `checkpoint_panic_at` when
-    /// the `chaos` feature is compiled in.
-    pub faults: FaultPlan,
     /// Registry for `checkpoint_writes` / `wal_segments`; `None` keeps
     /// the store silent (library embedders, tests).
     pub metrics: Option<Arc<IngestMetrics>>,
     /// Append events as binary [`EVENT2_KIND`] records instead of text
-    /// `EVENT` lines (the daemon sets this for sessions negotiated at
-    /// `paramount/2`). Purely a write-side policy: recovery replays both
-    /// kinds regardless, so a session's log may mix them across resumes.
+    /// `EVENT` lines. A session whose persisted `HELLO` negotiated
+    /// `paramount/2` logs binary records regardless; this is the
+    /// explicit override for library embedders. Purely a write-side
+    /// policy: recovery replays both kinds, so a log may mix them.
     pub binary_events: bool,
     /// The owning daemon's fencing epoch at store creation/recovery; it
     /// is stamped into `META` so a later incarnation of the same shard
@@ -113,12 +128,22 @@ pub struct StoreConfig {
     pub guard: Option<Arc<FenceGuard>>,
 }
 
+impl StoreConfig {
+    /// Opens the WAL in `dir` under this fsync policy.
+    fn open_wal(&self, dir: &Path) -> io::Result<(Wal, Vec<Record>)> {
+        let wal_config = WalConfig {
+            fsync: self.fsync,
+            ..WalConfig::default()
+        };
+        Wal::open(dir, wal_config)
+    }
+}
+
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             checkpoint_every: 4096,
             fsync: FsyncPolicy::OnDemand,
-            faults: FaultPlan::default(),
             metrics: None,
             binary_events: false,
             epoch: 0,
@@ -158,9 +183,7 @@ pub struct SessionStore {
     dir: PathBuf,
     wal: Wal,
     cfg: StoreConfig,
-    /// Session identity, re-embedded in every checkpoint so compaction
-    /// (which deletes the segment holding the original `META` record)
-    /// keeps the log self-contained.
+    /// Session identity, re-embedded in every checkpoint and re-stamp.
     id: u64,
     hello: Hello,
     /// The fencing epoch stamped in the store's `META` record — the
@@ -170,11 +193,9 @@ pub struct SessionStore {
     /// The shard space stamped alongside the epoch: whose grant history
     /// the stamp belongs to.
     owner: u64,
-    /// The full accepted prefix — what the next checkpoint embeds.
-    events: Vec<(usize, WireOp)>,
+    /// Events accepted so far (the log's `E`/`F` records).
+    acked: u64,
     since_checkpoint: u64,
-    /// 1-based checkpoint ordinal, for the chaos kill point.
-    checkpoints: u64,
     /// Segments currently charged to the `wal_segments` gauge.
     charged_segments: u64,
 }
@@ -221,37 +242,48 @@ impl SessionStore {
     ) -> io::Result<SessionStore> {
         fence_check(&cfg.guard)?;
         let _ = std::fs::remove_dir_all(dir);
-        let wal_config = WalConfig {
-            fsync: cfg.fsync,
-            ..WalConfig::default()
-        };
-        let (wal, _) = Wal::open(dir, wal_config)?;
-        let epoch = cfg.epoch;
-        let owner = cfg.own_space;
-        let mut store = SessionStore {
-            dir: dir.to_path_buf(),
-            wal,
-            cfg,
-            id,
-            hello: hello.clone(),
-            epoch,
-            owner,
-            events: Vec::new(),
-            since_checkpoint: 0,
-            checkpoints: 0,
-            charged_segments: 0,
-        };
-        let meta = encode_meta_line(id, epoch, owner, hello);
-        store.wal.append(META_KIND, meta.as_bytes())?;
-        store.wal.sync()?;
+        let (wal, _) = cfg.open_wal(dir)?;
+        let mut store = SessionStore::opened(dir, wal, cfg, id, hello.clone());
+        store.stamp(store.epoch, store.owner)?;
         store.publish_segments();
         Ok(store)
     }
 
+    /// A store over an opened log with nothing accepted yet, owned by
+    /// `cfg`'s epoch and shard space. The record kind is settled here,
+    /// where the `HELLO` is known on every path that builds a store.
+    fn opened(dir: &Path, wal: Wal, mut cfg: StoreConfig, id: u64, hello: Hello) -> SessionStore {
+        cfg.binary_events |= hello.proto >= 2;
+        SessionStore {
+            dir: dir.to_path_buf(),
+            wal,
+            epoch: cfg.epoch,
+            owner: cfg.own_space,
+            cfg,
+            id,
+            hello,
+            acked: 0,
+            since_checkpoint: 0,
+            charged_segments: 0,
+        }
+    }
+
+    /// Durably appends a `META` naming `epoch` and `owner`, which own
+    /// the log from then on.
+    fn stamp(&mut self, epoch: u64, owner: u64) -> io::Result<()> {
+        let meta = encode_meta_line(self.id, epoch, owner, &self.hello);
+        self.wal.append(META_KIND, meta.as_bytes())?;
+        self.wal.sync()?;
+        (self.epoch, self.owner) = (epoch, owner);
+        Ok(())
+    }
+
     /// Re-opens the store in `dir` and replays it: torn-tail repair is
-    /// the WAL's job, last-checkpoint-wins is ours. Returns `Ok(None)`
-    /// when `dir` holds no committed `META` record (absent or empty
-    /// store — nothing to resume).
+    /// the WAL's job; the last `META` or checkpoint names the owner, the
+    /// last checkpoint supplies tally and ledger, and a checkpoint whose
+    /// `acked` disagrees with the events replayed before it is an error.
+    /// Returns `Ok(None)` when `dir` holds no committed `META` record
+    /// (absent or empty store — nothing to resume).
     ///
     /// Fencing rules: recovery is refused while the recovering daemon is
     /// fenced, and a *leased* daemon (epoch > 0) cannot recover a store
@@ -267,11 +299,7 @@ impl SessionStore {
             return Ok(None);
         }
         fence_check(&cfg.guard)?;
-        let wal_config = WalConfig {
-            fsync: cfg.fsync,
-            ..WalConfig::default()
-        };
-        let (wal, records) = Wal::open(dir, wal_config)?;
+        let (wal, records) = cfg.open_wal(dir)?;
         let mut meta: Option<(u64, u64, u64, Hello)> = None;
         let mut events: Vec<(usize, WireOp)> = Vec::new();
         let mut quarantined = 0u64;
@@ -294,9 +322,17 @@ impl SessionStore {
                 }
                 CHECKPOINT_KIND => {
                     if let Some(ckpt) = decode_checkpoint(record) {
-                        debug_assert_eq!(ckpt.acked, ckpt.events.len() as u64);
+                        if !ckpt.events.is_empty() {
+                            events = ckpt.events; // a folded log: see the module docs
+                        }
+                        if ckpt.acked != events.len() as u64 {
+                            return Err(io::Error::other(format!(
+                                "gapped log: checkpoint records acked={} but {} events replay before it",
+                                ckpt.acked,
+                                events.len()
+                            )));
+                        }
                         meta = Some(ckpt.meta);
-                        events = ckpt.events;
                         quarantined = ckpt.quarantined;
                         quarantine = ckpt.quarantine;
                         since_checkpoint = 0;
@@ -314,31 +350,16 @@ impl SessionStore {
                 cfg.epoch
             )));
         }
-        let epoch = cfg.epoch;
-        let owner = cfg.own_space;
-        let mut store = SessionStore {
-            dir: dir.to_path_buf(),
-            wal,
-            cfg,
-            id,
-            hello: hello.clone(),
-            epoch,
-            owner,
-            events: Vec::new(),
-            since_checkpoint,
-            checkpoints: 0,
-            charged_segments: 0,
-        };
-        if epoch != stored_epoch || owner != stored_owner {
+        let mut store = SessionStore::opened(dir, wal, cfg, id, hello.clone());
+        store.acked = events.len() as u64;
+        store.since_checkpoint = since_checkpoint;
+        if store.epoch != stored_epoch || store.owner != stored_owner {
             // Claim the log for this incarnation: a durably re-stamped
             // META (last-META-wins on replay) is the recoverer's proof of
             // ownership — any lower-epoch incarnation of the same space
             // that later tries to recover this log is refused above.
-            let meta = encode_meta_line(id, epoch, owner, &store.hello);
-            store.wal.append(META_KIND, meta.as_bytes())?;
-            store.wal.sync()?;
+            store.stamp(store.epoch, store.owner)?;
         }
-        store.events.clone_from(&events);
         store.publish_segments();
         Ok(Some(RecoveredState {
             id,
@@ -363,13 +384,13 @@ impl SessionStore {
             let line = format!("EVENT {tid} {}", op.render());
             self.wal.append(EVENT_KIND, line.as_bytes())?;
         }
-        self.events.push((tid, op.clone()));
+        self.acked += 1;
         self.since_checkpoint += 1;
         self.publish_segments();
         Ok(())
     }
 
-    /// Has the checkpoint interval elapsed since the last fold?
+    /// Has the checkpoint interval elapsed since the last checkpoint?
     pub fn should_checkpoint(&self) -> bool {
         self.cfg.checkpoint_every > 0 && self.since_checkpoint >= self.cfg.checkpoint_every
     }
@@ -384,7 +405,7 @@ impl SessionStore {
     /// report, and exactly how many leading trace ops a resuming client
     /// must skip.
     pub fn acked(&self) -> u64 {
-        self.events.len() as u64
+        self.acked
     }
 
     /// The fencing epoch stamped in the store's `META` record.
@@ -428,13 +449,7 @@ impl SessionStore {
             return Ok(());
         }
         fence_check(&self.cfg.guard)?;
-        let owner = self.cfg.own_space;
-        let meta = encode_meta_line(self.id, epoch, owner, &self.hello);
-        self.wal.append(META_KIND, meta.as_bytes())?;
-        self.wal.sync()?;
-        self.epoch = epoch;
-        self.owner = owner;
-        Ok(())
+        self.stamp(epoch, self.cfg.own_space)
     }
 
     /// Live WAL segment files.
@@ -442,41 +457,33 @@ impl SessionStore {
         self.wal.segment_count()
     }
 
-    /// Folds the log: one `CHECKPOINT` record carrying the full accepted
-    /// prefix supersedes — and deletes — every earlier segment. The
-    /// quarantine ledger rides along so a recovered session reports the
-    /// exact `[Gmin, Gbnd]` bounds of pre-crash quarantines, not just
-    /// their tally. Returns the number of segments removed.
-    pub fn checkpoint(&mut self, quarantined: u64, ledger: &FaultLog) -> io::Result<usize> {
+    /// Appends and syncs one `CHECKPOINT` record: what replay cannot
+    /// regenerate (the quarantine tally and the ledger's exact
+    /// `[Gmin, Gbnd]` bounds), plus the identity and the acked count
+    /// recovery cross-checks. No event is copied and no segment deleted.
+    pub fn checkpoint(&mut self, quarantined: u64, ledger: &FaultLog) -> io::Result<()> {
         self.epoch_check()?;
-        let payload = encode_checkpoint(
-            self.id,
-            self.epoch,
-            self.owner,
-            &self.hello,
-            &self.events,
-            quarantined,
-            ledger,
-        );
-        self.checkpoints += 1;
-        #[cfg(feature = "chaos")]
-        if self.cfg.faults.checkpoint_panic_at == Some(self.checkpoints) {
-            // The compaction crash window: checkpoint durably written,
-            // superseded segments still on disk. Recovery must apply
-            // last-checkpoint-wins over the leftovers.
-            self.wal
-                .append(CHECKPOINT_KIND, &payload)
-                .expect("chaos checkpoint append");
-            self.wal.sync().expect("chaos checkpoint sync");
-            panic!("chaos: checkpoint_panic_at={} fired", self.checkpoints);
-        }
-        let removed = self.wal.compact(CHECKPOINT_KIND, &payload)?;
+        let payload = self.encode_checkpoint(quarantined, ledger);
+        self.wal.append(CHECKPOINT_KIND, payload.as_bytes())?;
+        self.wal.sync()?;
         self.since_checkpoint = 0;
         if let Some(metrics) = &self.cfg.metrics {
             metrics.checkpoint_writes.add(1);
         }
         self.publish_segments();
-        Ok(removed)
+        Ok(())
+    }
+
+    /// `CHECKPOINT` payload: the `META` line, an `acked=<n>
+    /// quarantined=<q>` header line, one `QUAR` line per ledger entry.
+    fn encode_checkpoint(&self, quarantined: u64, ledger: &FaultLog) -> String {
+        let mut out = encode_meta_line(self.id, self.epoch, self.owner, &self.hello);
+        out.push_str(&format!("\nacked={} quarantined={quarantined}", self.acked));
+        for entry in &ledger.quarantined {
+            out.push('\n');
+            out.push_str(&encode_quarantine_line(entry));
+        }
+        out
     }
 
     /// Deletes the store from disk (clean `END`: nothing left to
@@ -583,34 +590,8 @@ fn decode_event_line(line: Option<&str>) -> Option<(usize, WireOp)> {
     }
 }
 
-/// `CHECKPOINT` payload: the `META` line (compaction deletes the segment
-/// holding the original, so every checkpoint re-embeds identity), an
-/// `acked=<n> quarantined=<q>` header line, one `QUAR` line per entry in
-/// the quarantine ledger, then one `EVENT` line per accepted event.
-fn encode_checkpoint(
-    id: u64,
-    epoch: u64,
-    owner: u64,
-    hello: &Hello,
-    events: &[(usize, WireOp)],
-    quarantined: u64,
-    ledger: &FaultLog,
-) -> Vec<u8> {
-    let mut out = encode_meta_line(id, epoch, owner, hello);
-    out.push('\n');
-    out.push_str(&format!("acked={} quarantined={quarantined}", events.len()));
-    for entry in &ledger.quarantined {
-        out.push('\n');
-        out.push_str(&encode_quarantine_line(entry));
-    }
-    for (tid, op) in events {
-        out.push('\n');
-        out.push_str(&format!("EVENT {tid} {}", op.render()));
-    }
-    out.into_bytes()
-}
-
-/// Everything [`decode_checkpoint`] reads back out of one record.
+/// Everything [`decode_checkpoint`] reads back out of one record; only
+/// a log that an earlier build folded has `events`.
 struct Checkpoint {
     meta: (u64, u64, u64, Hello),
     acked: u64,
@@ -780,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_compacts_and_recovery_honors_last_checkpoint_wins() {
+    fn recovery_takes_events_from_the_records_and_the_ledger_from_the_last_checkpoint() {
         let dir = scratch_dir("ckpt");
         let cfg = StoreConfig {
             checkpoint_every: 4,
@@ -788,25 +769,143 @@ mod tests {
         };
         let trace = ops(10);
         let mut store = SessionStore::create(&dir, 1, &Hello::new(2), cfg.clone()).unwrap();
+        let mut tally = 0;
         for (tid, op) in &trace {
             store.append_event(*tid, op).unwrap();
             if store.should_checkpoint() {
-                store.checkpoint(3, &FaultLog::default()).unwrap();
+                tally += 3;
+                store.checkpoint(tally, &FaultLog::default()).unwrap();
             }
         }
-        // 10 events at checkpoint_every=4 → checkpoints at 4 and 8; the
-        // log is one compacted segment plus the 2-event tail.
-        assert_eq!(store.segment_count(), 1);
         drop(store);
+
+        // 10 events at checkpoint_every=4 → checkpoints at 4 and 8, each
+        // in place behind the events it follows; none copies an event.
+        let (_, records) = Wal::open(&dir, WalConfig::default()).unwrap();
+        let kinds: Vec<u8> = records.iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, b"MEEEECEEEECEE");
+        for record in records.iter().filter(|r| r.kind == CHECKPOINT_KIND) {
+            let text = std::str::from_utf8(&record.payload).unwrap();
+            assert!(!text.contains("EVENT"), "{text}");
+        }
 
         let rec = SessionStore::recover(&dir, cfg)
             .unwrap()
             .expect("store exists");
-        assert_eq!(
-            rec.events, trace,
-            "checkpoint prefix + WAL tail replay exactly"
+        assert_eq!(rec.events, trace);
+        assert_eq!(rec.quarantined, 6, "the last checkpoint's tally");
+        assert!(!rec.store.should_checkpoint(), "two events since the last");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log as builds that folded it left it: the `M` and `E` records a
+    /// compaction deleted are gone, its one `C` carries the whole prefix
+    /// as `EVENT` lines, and an `F` tail follows.
+    #[test]
+    fn folded_log_of_an_earlier_build_recovers_the_exact_sequence() {
+        let dir = scratch_dir("legacy");
+        let trace = ops(7);
+        let hello = Hello::new(2);
+        let mut folded = format!("4 epoch=3 {}\nacked=5 quarantined=1", hello.encode());
+        for (tid, op) in &trace[..5] {
+            folded.push_str(&format!("\nEVENT {tid} {}", op.render()));
+        }
+        let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+        wal.append(CHECKPOINT_KIND, folded.as_bytes()).unwrap();
+        for (tid, op) in &trace[5..] {
+            let body = crate::wire2::encode_event_record(*tid, op);
+            wal.append(EVENT2_KIND, &body).unwrap();
+        }
+        wal.sync().unwrap();
+        drop(wal);
+
+        let cfg = StoreConfig {
+            epoch: 3,
+            ..StoreConfig::default()
+        };
+        let rec = SessionStore::recover(&dir, cfg)
+            .unwrap()
+            .expect("store exists");
+        assert_eq!((rec.id, &rec.hello), (4, &hello));
+        assert_eq!(rec.events, trace);
+        assert_eq!(rec.quarantined, 1);
+        assert_eq!(rec.store.acked(), 7);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_that_disagrees_with_the_replayed_events_fails_recovery() {
+        let dir = scratch_dir("gap");
+        let hello = Hello::new(2);
+        let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+        wal.append(META_KIND, format!("1 {}", hello.encode()).as_bytes())
+            .unwrap();
+        for (tid, op) in &ops(2) {
+            let body = crate::wire2::encode_event_record(*tid, op);
+            wal.append(EVENT2_KIND, &body).unwrap();
+        }
+        let checkpoint = format!("1 {}\nacked=3 quarantined=0", hello.encode());
+        wal.append(CHECKPOINT_KIND, checkpoint.as_bytes()).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+
+        let err = SessionStore::recover(&dir, StoreConfig::default()).unwrap_err();
+        let text = err.to_string();
+        assert!(
+            text.contains("acked=3") && text.contains("2 events"),
+            "{text}"
         );
-        assert_eq!(rec.quarantined, 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every checkpoint interval costs the same bytes and only appends:
+    /// nothing is copied, rewritten or deleted under a live session.
+    #[test]
+    fn checkpoints_only_append_and_grow_the_log_linearly() {
+        let dir = scratch_dir("linear");
+        let every = 16usize;
+        let cfg = StoreConfig {
+            checkpoint_every: every as u64,
+            fsync: FsyncPolicy::Never,
+            ..StoreConfig::default()
+        };
+        // The log as one byte string: its segments in sequence order.
+        let log_bytes = |dir: &Path| -> Vec<u8> {
+            let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .collect();
+            segments.sort();
+            segments
+                .iter()
+                .flat_map(|path| std::fs::read(path).unwrap())
+                .collect()
+        };
+        let mut store = SessionStore::create(&dir, 1, &Hello::new(2), cfg).unwrap();
+        let mut logs = vec![log_bytes(&dir)];
+        let mut segments = store.segment_count();
+        for (tid, op) in &ops(3 * every) {
+            store.append_event(*tid, op).unwrap();
+            if store.should_checkpoint() {
+                store.checkpoint(0, &FaultLog::default()).unwrap();
+                logs.push(log_bytes(&dir));
+            }
+            assert!(store.segment_count() >= segments);
+            segments = store.segment_count();
+        }
+        assert_eq!(logs.len(), 4);
+        let growth: Vec<usize> = logs
+            .windows(2)
+            .map(|w| {
+                assert!(w[1].starts_with(&w[0]), "a checkpoint rewrote the log");
+                w[1].len() - w[0].len()
+            })
+            .collect();
+        // One record of slack: `ops` names gain a digit as `i` grows.
+        let record = growth[0] / (every + 1);
+        for g in &growth[1..] {
+            assert!(g.abs_diff(growth[0]) <= record, "{growth:?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1117,8 +1216,8 @@ mod tests {
         for (tid, op) in &trace {
             store.append_event(*tid, op).unwrap();
         }
-        // Compaction deletes the segment holding the original META; the
-        // checkpoint must carry the stamp forward.
+        // A checkpoint replaces identity on replay, so it must carry the
+        // stamp forward.
         store.checkpoint(0, &FaultLog::default()).unwrap();
         assert_eq!(store.segment_count(), 1);
         drop(store);

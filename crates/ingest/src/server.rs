@@ -22,7 +22,7 @@ use crate::proto::{
     parse_client_line, version_token, ClientFrame, DecodeError, EndReason, ErrCode, ServerFrame,
     MAX_LINE_BYTES, PROTO_MAX,
 };
-use crate::session::{Session, SessionConfig, SessionReport};
+use crate::session::{state_err, store_err, Session, SessionConfig, SessionReport};
 use crate::wire2;
 use paramount::metrics::stat_line;
 use paramount::{
@@ -70,8 +70,9 @@ pub struct ServerConfig {
     /// interrupted sessions, and `RESUME` lets a client continue one.
     /// `None` (the default) keeps the daemon fully in-memory.
     pub data_dir: Option<std::path::PathBuf>,
-    /// Durable sessions only: write an LSM checkpoint (and drop the WAL
-    /// segments it supersedes) every this many accepted events.
+    /// Durable sessions only: make the quarantine tally and ledger
+    /// durable (one checkpoint record in the WAL) every this many
+    /// accepted events.
     pub checkpoint_every_events: u64,
     /// Durable sessions only: when WAL appends reach stable storage.
     /// `OnDemand` (the default) forces on `FLUSH` and checkpoints.
@@ -305,8 +306,8 @@ impl Server {
     }
 
     /// Durable boot scan: rebuilds each persisted session under
-    /// `data_dir` into the parked map (replaying checkpoint + WAL through
-    /// a fresh engine) and returns the first id the accept loop may hand
+    /// `data_dir` into the parked map (replaying its WAL through a fresh
+    /// engine) and returns the first id the accept loop may hand
     /// out — strictly above every persisted id, so a resumed client
     /// never collides with a new one.
     fn recover_persisted(&self, parked: &Arc<Mutex<HashMap<u64, Session>>>) -> u64 {
@@ -368,9 +369,9 @@ impl Server {
         );
         let notify = Arc::new(notify);
         let parked: Arc<Mutex<HashMap<u64, Session>>> = Arc::new(Mutex::new(HashMap::new()));
-        // Durable boot: rebuild every persisted session from checkpoint +
-        // WAL replay before accepting connections, and keep ids
-        // monotone across the restart.
+        // Durable boot: rebuild every persisted session by WAL replay
+        // before accepting connections, and keep ids monotone across the
+        // restart.
         let first_free_id = self.recover_persisted(&parked);
         let next_id = Arc::new(AtomicU64::new(first_free_id));
         let (report_tx, report_rx) = mpsc::channel::<SessionReport>();
@@ -538,9 +539,8 @@ fn durable_store_config(
     StoreConfig {
         checkpoint_every: config.checkpoint_every_events,
         fsync: config.fsync,
-        faults: config.session.engine.faults,
         metrics: Some(Arc::clone(metrics)),
-        binary_events: false,
+        binary_events: false, // the persisted HELLO's version decides
         epoch: fence.epoch(),
         own_space: config.first_session_id >> 32,
         guard: Some(Arc::clone(fence)),
@@ -693,11 +693,117 @@ enum ConnReader {
     Binary(BinReader),
 }
 
-fn send(stream: &mut Stream, frame: &ServerFrame) -> io::Result<()> {
-    let mut line = frame.encode();
-    line.push('\n');
-    stream.write_all(line.as_bytes())?;
+/// Writes `frames` as one buffer: a multi-line reply is one write (one
+/// segment on a socket without `TCP_NODELAY`), not one per line.
+fn send_all(stream: &mut Stream, frames: &[ServerFrame]) -> io::Result<()> {
+    let mut out = String::new();
+    for frame in frames {
+        out.push_str(&frame.encode());
+        out.push('\n');
+    }
+    stream.write_all(out.as_bytes())?;
     stream.flush()
+}
+
+/// Sends `frames`; a failed write ends the connection as a disconnect.
+fn reply_all(stream: &mut Stream, frames: &[ServerFrame]) -> FrameOutcome {
+    match send_all(stream, frames) {
+        Ok(()) => FrameOutcome::Continue,
+        Err(_) => FrameOutcome::Close(EndReason::Disconnect),
+    }
+}
+
+fn reply(stream: &mut Stream, frame: &ServerFrame) -> FrameOutcome {
+    reply_all(stream, std::slice::from_ref(frame))
+}
+
+/// How a refused frame is booked and what becomes of the connection.
+#[derive(PartialEq)]
+enum Reject {
+    /// Malformed or out-of-state frame: a decode error; the frame is
+    /// dropped and the connection (and any session) carries on.
+    Frame,
+    /// A decode error the exchange cannot survive: the connection closes
+    /// with reason `limit` (an open session keeps its store).
+    Fatal,
+    /// Admission refused: a rejected session; the connection closes.
+    Admission,
+}
+
+impl<F: Fn(&SessionReport) + Send + Sync> ConnCtx<F> {
+    /// The one place an `ERR` reply is counted, sent and turned into
+    /// what the protocol loop does next.
+    fn reject(&self, kind: Reject, err: DecodeError, stream: &mut Stream) -> FrameOutcome {
+        if kind == Reject::Admission {
+            self.metrics.sessions_rejected.add(1);
+        } else {
+            self.metrics.decode_errors.add(1);
+        }
+        let sent = reply(stream, &ServerFrame::Err(err));
+        if kind == Reject::Frame {
+            sent
+        } else {
+            FrameOutcome::Close(EndReason::Limit)
+        }
+    }
+
+    /// `ERR busy` with the daemon's retry hint.
+    fn busy_err(&self, message: String) -> DecodeError {
+        DecodeError::busy(self.config.busy_retry_after_ms, message)
+    }
+
+    /// A fenced daemon stops serving its open session — a degraded
+    /// finalize with an exact report for the accepted prefix — and says
+    /// where to go. Pre-session connections are left alone so admin
+    /// frames (`LEASE`, `STATS`, `SHUTDOWN`) still flow and the router
+    /// can probe and re-admit.
+    fn fence_ends_session(&self, stream: &mut Stream, session: &Option<Session>) -> bool {
+        self.fence.check_expiry();
+        let fenced = self.fence.is_fenced() && session.is_some();
+        if fenced {
+            let message = format!(
+                "shard fenced at epoch {}; re-route and resume on the survivor",
+                self.fence.epoch()
+            );
+            let _ = send_all(stream, &[ServerFrame::Err(self.busy_err(message))]);
+        }
+        fenced
+    }
+
+    /// What `HELLO` and `RESUME` both check first, in this order: no
+    /// session on the connection yet, a version the daemon speaks, a
+    /// daemon that is not fenced. `Some` is the rejection to return.
+    fn admission_preamble(
+        &self,
+        proto: u8,
+        stream: &mut Stream,
+        session: &Option<Session>,
+    ) -> Option<FrameOutcome> {
+        let (kind, err) = if session.is_some() {
+            (Reject::Frame, state_err("session already established"))
+        } else if proto > self.config.proto_max {
+            // Reject the version but keep the connection, exactly like a
+            // daemon that predates the offered version: the client
+            // re-offers `paramount/1` on this socket.
+            let speaks = version_token(self.config.proto_max);
+            let message = format!("daemon speaks up to {speaks}");
+            (Reject::Frame, DecodeError::new(ErrCode::Version, message))
+        } else if self.fence.is_fenced() {
+            // A fenced shard admits nothing and resumes nothing — the
+            // accepted prefix may already be replaying on a survivor
+            // under a higher epoch, and serving it here would
+            // double-serve it. The client re-ROUTEs (or retries after
+            // re-admission).
+            let message = format!(
+                "shard is fenced at epoch {} awaiting re-admission",
+                self.fence.epoch()
+            );
+            (Reject::Admission, self.busy_err(message))
+        } else {
+            return None;
+        };
+        Some(self.reject(kind, err, stream))
+    }
 }
 
 /// One connection thread: runs the protocol loop under a panic boundary,
@@ -762,7 +868,7 @@ fn serve_connection<F: Fn(&SessionReport) + Send + Sync>(mut stream: Stream, ctx
     // Best-effort: tell the client how its session ended. On a clean END
     // this is the acknowledged REPORT; on disconnect the write fails and
     // that is fine.
-    let _ = send(&mut stream, &ServerFrame::Report(report.wire()));
+    let _ = send_all(&mut stream, &[ServerFrame::Report(report.wire())]);
     (ctx.notify)(&report);
     let _ = ctx.report_tx.send(report);
 }
@@ -797,6 +903,8 @@ fn connection_loop<F: Fn(&SessionReport) + Send + Sync>(
         Fatal(DecodeError),
     }
 
+    // With no session open, a closed connection has nothing to file.
+    let end = |session: &Option<Session>, reason| session.as_ref().map(|_| reason);
     loop {
         let ev = match &mut reader {
             ConnReader::Text(r) => match r.next(stream) {
@@ -833,105 +941,50 @@ fn connection_loop<F: Fn(&SessionReport) + Send + Sync>(
                 }
             }
         };
-        match ev {
-            Ev::Skip => {}
+        let outcome = match ev {
+            Ev::Skip => FrameOutcome::Continue,
             Ev::Idle => {
                 // Lease expiry check: a fenced daemon stops serving its
-                // open session the next tick — a degraded finalize with
-                // an exact report for the accepted prefix.
-                ctx.fence.check_expiry();
-                if ctx.fence.is_fenced() && session.is_some() {
-                    let _ = send(
-                        stream,
-                        &ServerFrame::Err(DecodeError::busy(
-                            ctx.config.busy_retry_after_ms,
-                            format!(
-                                "shard fenced at epoch {}; re-route and resume on the survivor",
-                                ctx.fence.epoch()
-                            ),
-                        )),
-                    );
+                // open session the next tick.
+                if ctx.fence_ends_session(stream, session) {
                     return Some(EndReason::Shutdown);
                 }
                 if ctx.stop.load(Ordering::Relaxed) {
-                    if session.is_some() {
-                        return Some(EndReason::Shutdown);
-                    }
-                    return None;
+                    return end(session, EndReason::Shutdown);
                 }
                 let idle_budget = session
                     .as_ref()
                     .map(|s| s.idle_timeout())
                     .unwrap_or(pre_hello_idle);
                 if last_frame.elapsed() >= idle_budget {
+                    // A silent pre-HELLO connection is just dropped.
                     if session.is_some() {
-                        let _ = send(
-                            stream,
-                            &ServerFrame::Err(DecodeError::new(
-                                ErrCode::Limit,
-                                format!("idle for more than {idle_budget:?}"),
-                            )),
-                        );
-                        return Some(EndReason::Timeout);
+                        let message = format!("idle for more than {idle_budget:?}");
+                        let err = DecodeError::new(ErrCode::Limit, message);
+                        let _ = send_all(stream, &[ServerFrame::Err(err)]);
                     }
-                    return None; // silent pre-HELLO connection: just drop it
+                    return end(session, EndReason::Timeout);
                 }
+                FrameOutcome::Continue
             }
-            Ev::Gone => {
-                if session.is_some() {
-                    return Some(EndReason::Disconnect);
-                }
-                return None;
-            }
+            Ev::Gone => return end(session, EndReason::Disconnect),
             Ev::Fatal(err) => {
                 ctx.metrics.decode_errors.add(1);
-                let _ = send(stream, &ServerFrame::Err(err));
-                if session.is_some() {
-                    return Some(EndReason::Error);
-                }
-                return None;
+                let _ = send_all(stream, &[ServerFrame::Err(err)]);
+                return end(session, EndReason::Error);
             }
-            Ev::Soft(err) => {
-                // Malformed input is survivable: reject the frame, keep
-                // the session; the stream stays line-aligned because
-                // frames are lines.
-                ctx.metrics.decode_errors.add(1);
-                if send(stream, &ServerFrame::Err(err)).is_err() {
-                    if session.is_some() {
-                        return Some(EndReason::Disconnect);
-                    }
-                    return None;
-                }
-            }
+            // Malformed input is survivable: reject the frame, keep the
+            // session; the stream stays line-aligned because frames are
+            // lines.
+            Ev::Soft(err) => ctx.reject(Reject::Frame, err, stream),
             Ev::Frame(frame) => {
                 ctx.metrics.frames_decoded.add(1);
                 // A fence lands mid-stream too: the open session ends
-                // here (`EVENT` is no longer admitted), while
-                // pre-session admin frames (LEASE, STATS, SHUTDOWN)
-                // still flow so the router can probe and re-admit.
-                ctx.fence.check_expiry();
-                if ctx.fence.is_fenced() && session.is_some() {
-                    let _ = send(
-                        stream,
-                        &ServerFrame::Err(DecodeError::busy(
-                            ctx.config.busy_retry_after_ms,
-                            format!(
-                                "shard fenced at epoch {}; re-route and resume on the survivor",
-                                ctx.fence.epoch()
-                            ),
-                        )),
-                    );
+                // here (`EVENT` is no longer admitted).
+                if ctx.fence_ends_session(stream, session) {
                     return Some(EndReason::Shutdown);
                 }
-                match handle_frame(frame, stream, session, &mut conn_proto, ctx) {
-                    FrameOutcome::Continue => {}
-                    FrameOutcome::Close(reason) => {
-                        if session.is_some() {
-                            return Some(reason);
-                        }
-                        return None;
-                    }
-                }
+                let outcome = handle_frame(frame, stream, session, &mut conn_proto, ctx);
                 // A successful v2 negotiation flips the reader: any bytes
                 // the line reader pipelined past the negotiating frame
                 // seed the binary decoder.
@@ -942,7 +995,11 @@ fn connection_loop<F: Fn(&SessionReport) + Send + Sync>(
                         reader = ConnReader::Binary(BinReader::new(dec));
                     }
                 }
+                outcome
             }
+        };
+        if let FrameOutcome::Close(reason) = outcome {
+            return end(session, reason);
         }
     }
 }
@@ -953,6 +1010,22 @@ enum FrameOutcome {
     Close(EndReason),
 }
 
+/// The `OK` that admits or resumes a session. At v2 it echoes the
+/// accepted version, and its success is the moment the connection
+/// switches to binary.
+fn admit(
+    mut kvs: Vec<(String, String)>,
+    proto: u8,
+    conn_proto: &mut u8,
+    stream: &mut Stream,
+) -> FrameOutcome {
+    if proto >= 2 {
+        kvs.push(("proto".to_string(), proto.to_string()));
+        *conn_proto = proto;
+    }
+    reply(stream, &ServerFrame::Ok(kvs))
+}
+
 fn handle_frame<F: Fn(&SessionReport) + Send + Sync>(
     frame: ClientFrame,
     stream: &mut Stream,
@@ -960,87 +1033,28 @@ fn handle_frame<F: Fn(&SessionReport) + Send + Sync>(
     conn_proto: &mut u8,
     ctx: &ConnCtx<F>,
 ) -> FrameOutcome {
-    let reply = |stream: &mut Stream, frame: &ServerFrame| {
-        if send(stream, frame).is_err() {
-            FrameOutcome::Close(EndReason::Disconnect)
-        } else {
-            FrameOutcome::Continue
-        }
-    };
     match frame {
         ClientFrame::Hello(hello) => {
-            if session.is_some() {
-                ctx.metrics.decode_errors.add(1);
-                return reply(
-                    stream,
-                    &ServerFrame::Err(DecodeError::new(
-                        ErrCode::State,
-                        "session already established",
-                    )),
-                );
-            }
-            if hello.proto > ctx.config.proto_max {
-                // Reject the version but keep the connection, exactly like
-                // a daemon that predates the offered version: the client
-                // falls back with a `paramount/1` HELLO on this socket.
-                ctx.metrics.decode_errors.add(1);
-                return reply(
-                    stream,
-                    &ServerFrame::Err(DecodeError::new(
-                        ErrCode::Version,
-                        format!(
-                            "daemon speaks up to {}",
-                            version_token(ctx.config.proto_max)
-                        ),
-                    )),
-                );
-            }
-            // A fenced shard admits nothing: the client re-ROUTEs and
-            // lands on a survivor (or retries after re-admission).
-            if ctx.fence.is_fenced() {
-                ctx.metrics.sessions_rejected.add(1);
-                let _ = send(
-                    stream,
-                    &ServerFrame::Err(DecodeError::busy(
-                        ctx.config.busy_retry_after_ms,
-                        format!(
-                            "shard is fenced at epoch {} awaiting re-admission",
-                            ctx.fence.epoch()
-                        ),
-                    )),
-                );
-                return FrameOutcome::Close(EndReason::Limit);
+            if let Some(rejected) = ctx.admission_preamble(hello.proto, stream, session) {
+                return rejected;
             }
             if ctx.metrics.active_sessions.get() >= ctx.config.max_sessions {
-                ctx.metrics.sessions_rejected.add(1);
-                let _ = send(
-                    stream,
-                    &ServerFrame::Err(DecodeError::new(
-                        ErrCode::Limit,
-                        format!(
-                            "daemon is at its session limit ({})",
-                            ctx.config.max_sessions
-                        ),
-                    )),
+                let message = format!(
+                    "daemon is at its session limit ({})",
+                    ctx.config.max_sessions
                 );
-                return FrameOutcome::Close(EndReason::Limit);
+                let err = DecodeError::new(ErrCode::Limit, message);
+                return ctx.reject(Reject::Admission, err, stream);
             }
             // Admission control: while the shared budget is at or past
             // its soft watermark, new sessions are turned away with a
             // retry hint — existing sessions keep the remaining headroom.
             if ctx.budget.pressure() >= Pressure::Soft {
-                ctx.metrics.sessions_rejected.add(1);
-                let _ = send(
-                    stream,
-                    &ServerFrame::Err(DecodeError::busy(
-                        ctx.config.busy_retry_after_ms,
-                        format!(
-                            "daemon over memory budget ({} accounted bytes)",
-                            ctx.budget.accounted_bytes()
-                        ),
-                    )),
+                let message = format!(
+                    "daemon over memory budget ({} accounted bytes)",
+                    ctx.budget.accounted_bytes()
                 );
-                return FrameOutcome::Close(EndReason::Limit);
+                return ctx.reject(Reject::Admission, ctx.busy_err(message), stream);
             }
             let id = ctx.next_id.fetch_add(1, Ordering::Relaxed);
             // The daemon-wide governor supplies the engine's deadline and
@@ -1057,23 +1071,10 @@ fn handle_frame<F: Fn(&SessionReport) + Send + Sync>(
                     // migrates to a peer, a restarted incarnation will
                     // never re-issue it.
                     write_id_floor(root, id + 1);
-                    let mut cfg = durable_store_config(&ctx.config, &ctx.metrics, &ctx.fence);
-                    // Sessions negotiated at v2 log binary WAL records;
-                    // recovery replays either kind.
-                    cfg.binary_events = hello.proto >= 2;
+                    let cfg = durable_store_config(&ctx.config, &ctx.metrics, &ctx.fence);
                     match SessionStore::create(&session_dir(root, id), id, &hello, cfg) {
                         Ok(store) => Some(store),
-                        Err(err) => {
-                            ctx.metrics.sessions_rejected.add(1);
-                            let _ = send(
-                                stream,
-                                &ServerFrame::Err(DecodeError::new(
-                                    ErrCode::Limit,
-                                    format!("durable store: {err}"),
-                                )),
-                            );
-                            return FrameOutcome::Close(EndReason::Limit);
-                        }
+                        Err(err) => return ctx.reject(Reject::Admission, store_err(err), stream),
                     }
                 }
                 None => None,
@@ -1086,22 +1087,14 @@ fn handle_frame<F: Fn(&SessionReport) + Send + Sync>(
                     ctx.metrics.sessions_opened.add(1);
                     ctx.metrics.active_sessions.inc();
                     *session = Some(s);
-                    let mut kvs = vec![("session".to_string(), id.to_string())];
-                    if hello.proto >= 2 {
-                        // Echo the accepted version; the reply's success
-                        // is the moment the connection switches to binary.
-                        kvs.push(("proto".to_string(), hello.proto.to_string()));
-                        *conn_proto = hello.proto;
-                    }
-                    reply(stream, &ServerFrame::Ok(kvs))
+                    let kvs = vec![("session".to_string(), id.to_string())];
+                    admit(kvs, hello.proto, conn_proto, stream)
                 }
                 Err(err) => {
                     if let Some(store) = store {
                         let _ = store.delete(); // no session to resume
                     }
-                    ctx.metrics.sessions_rejected.add(1);
-                    let _ = send(stream, &ServerFrame::Err(err));
-                    FrameOutcome::Close(EndReason::Limit)
+                    ctx.reject(Reject::Admission, err, stream)
                 }
             }
         }
@@ -1143,19 +1136,13 @@ fn handle_frame<F: Fn(&SessionReport) + Send + Sync>(
         }
         ClientFrame::Flush => {
             let Some(s) = session.as_mut() else {
-                ctx.metrics.decode_errors.add(1);
-                return reply(
-                    stream,
-                    &ServerFrame::Err(DecodeError::new(ErrCode::State, "FLUSH before HELLO")),
-                );
+                return ctx.reject(Reject::Frame, state_err("FLUSH before HELLO"), stream);
             };
             // The barrier is also the durability point: every accepted
             // event reaches stable storage before the ack, so the acked=
             // count is a promise a crash cannot revoke.
             if let Err(err) = s.sync_store() {
-                ctx.metrics.decode_errors.add(1);
-                let _ = send(stream, &ServerFrame::Err(err));
-                return FrameOutcome::Close(EndReason::Limit);
+                return ctx.reject(Reject::Fatal, err, stream);
             }
             let (events, cuts) = s.progress();
             let mut kvs = vec![
@@ -1202,33 +1189,23 @@ fn handle_frame<F: Fn(&SessionReport) + Send + Sync>(
                 );
                 json.push('\n');
             }
-            for line in json.lines() {
-                if send(stream, &ServerFrame::Stat(line.to_string())).is_err() {
-                    return FrameOutcome::Close(EndReason::Disconnect);
-                }
-            }
-            reply(stream, &ServerFrame::Ok(Vec::new()))
+            let mut frames: Vec<ServerFrame> = json
+                .lines()
+                .map(|line| ServerFrame::Stat(line.to_string()))
+                .collect();
+            frames.push(ServerFrame::Ok(Vec::new()));
+            reply_all(stream, &frames)
         }
         ClientFrame::End => {
             if session.is_none() {
-                ctx.metrics.decode_errors.add(1);
-                return reply(
-                    stream,
-                    &ServerFrame::Err(DecodeError::new(ErrCode::State, "END before HELLO")),
-                );
+                return ctx.reject(Reject::Frame, state_err("END before HELLO"), stream);
             }
             FrameOutcome::Close(EndReason::End)
         }
         ClientFrame::Shutdown => {
             if session.is_some() {
-                ctx.metrics.decode_errors.add(1);
-                return reply(
-                    stream,
-                    &ServerFrame::Err(DecodeError::new(
-                        ErrCode::State,
-                        "SHUTDOWN is an admin frame; END your session first",
-                    )),
-                );
+                let err = state_err("SHUTDOWN is an admin frame; END your session first");
+                return ctx.reject(Reject::Frame, err, stream);
             }
             let out = reply(stream, &ServerFrame::Ok(Vec::new()));
             ctx.stop.store(true, Ordering::Relaxed);
@@ -1236,72 +1213,21 @@ fn handle_frame<F: Fn(&SessionReport) + Send + Sync>(
         }
         // Shard daemons do not route; the fleet router answers this frame.
         ClientFrame::Route { .. } => {
-            ctx.metrics.decode_errors.add(1);
-            reply(
-                stream,
-                &ServerFrame::Err(DecodeError::new(
-                    ErrCode::State,
-                    "ROUTE is answered by a fleet router, not a shard daemon",
-                )),
-            )
+            let err = state_err("ROUTE is answered by a fleet router, not a shard daemon");
+            ctx.reject(Reject::Frame, err, stream)
         }
         ClientFrame::Resume {
             session: want,
             proto,
         } => {
-            if session.is_some() {
-                ctx.metrics.decode_errors.add(1);
-                return reply(
-                    stream,
-                    &ServerFrame::Err(DecodeError::new(
-                        ErrCode::State,
-                        "session already established",
-                    )),
-                );
-            }
-            if proto > ctx.config.proto_max {
-                // Same non-fatal rejection as HELLO: the client re-offers
-                // `paramount/1` on this connection.
-                ctx.metrics.decode_errors.add(1);
-                return reply(
-                    stream,
-                    &ServerFrame::Err(DecodeError::new(
-                        ErrCode::Version,
-                        format!(
-                            "daemon speaks up to {}",
-                            version_token(ctx.config.proto_max)
-                        ),
-                    )),
-                );
-            }
-            // A fenced shard cannot resume sessions either: the accepted
-            // prefix may already be replaying on a survivor under a
-            // higher epoch, and serving it here would double-serve it.
-            if ctx.fence.is_fenced() {
-                ctx.metrics.sessions_rejected.add(1);
-                let _ = send(
-                    stream,
-                    &ServerFrame::Err(DecodeError::busy(
-                        ctx.config.busy_retry_after_ms,
-                        format!(
-                            "shard is fenced at epoch {} awaiting re-admission",
-                            ctx.fence.epoch()
-                        ),
-                    )),
-                );
-                return FrameOutcome::Close(EndReason::Limit);
+            if let Some(rejected) = ctx.admission_preamble(proto, stream, session) {
+                return rejected;
             }
             // Both rejections below are `state` (non-fatal): the client
             // may fall back to a fresh HELLO on this same connection.
             let Some(root) = ctx.config.data_dir.clone() else {
-                ctx.metrics.decode_errors.add(1);
-                return reply(
-                    stream,
-                    &ServerFrame::Err(DecodeError::new(
-                        ErrCode::State,
-                        "daemon has no durable store (start it with --data-dir)",
-                    )),
-                );
+                let err = state_err("daemon has no durable store (start it with --data-dir)");
+                return ctx.reject(Reject::Frame, err, stream);
             };
             // Boot-recovered sessions are parked and adopted directly;
             // otherwise recover lazily from disk (e.g. a session that
@@ -1317,40 +1243,21 @@ fn handle_frame<F: Fn(&SessionReport) + Send + Sync>(
                     // adopter claims the store under the epoch it holds
                     // *now* or every later append would refuse as stale.
                     if let Err(err) = s.restamp_store(ctx.fence.epoch()) {
-                        ctx.metrics.decode_errors.add(1);
                         let mut parked = ctx.parked.lock().unwrap_or_else(|e| e.into_inner());
                         parked.insert(want, s);
-                        let _ = send(stream, &ServerFrame::Err(err));
-                        return FrameOutcome::Close(EndReason::Limit);
+                        return ctx.reject(Reject::Fatal, err, stream);
                     }
                     s
                 }
                 None => {
-                    let mut cfg = durable_store_config(&ctx.config, &ctx.metrics, &ctx.fence);
-                    cfg.binary_events = proto >= 2;
+                    let cfg = durable_store_config(&ctx.config, &ctx.metrics, &ctx.fence);
                     let rec = match SessionStore::recover(&session_dir(&root, want), cfg) {
                         Ok(Some(rec)) => rec,
                         Ok(None) => {
-                            ctx.metrics.decode_errors.add(1);
-                            return reply(
-                                stream,
-                                &ServerFrame::Err(DecodeError::new(
-                                    ErrCode::State,
-                                    format!("unknown session {want}"),
-                                )),
-                            );
+                            let err = state_err(format!("unknown session {want}"));
+                            return ctx.reject(Reject::Frame, err, stream);
                         }
-                        Err(err) => {
-                            ctx.metrics.decode_errors.add(1);
-                            let _ = send(
-                                stream,
-                                &ServerFrame::Err(DecodeError::new(
-                                    ErrCode::Limit,
-                                    format!("durable store: {err}"),
-                                )),
-                            );
-                            return FrameOutcome::Close(EndReason::Limit);
-                        }
+                        Err(err) => return ctx.reject(Reject::Fatal, store_err(err), stream),
                     };
                     let session_config = durable_session_config(&ctx.config, want);
                     match Session::recover(rec, &session_config, Arc::clone(&ctx.budget)) {
@@ -1359,36 +1266,21 @@ fn handle_frame<F: Fn(&SessionReport) + Send + Sync>(
                             ctx.metrics.active_sessions.inc();
                             s
                         }
-                        Err(err) => {
-                            ctx.metrics.decode_errors.add(1);
-                            let _ = send(stream, &ServerFrame::Err(err));
-                            return FrameOutcome::Close(EndReason::Limit);
-                        }
+                        Err(err) => return ctx.reject(Reject::Fatal, err, stream),
                     }
                 }
             };
-            let acked = s.acked().unwrap_or(0);
-            *session = Some(s);
-            let mut kvs = vec![
+            let kvs = vec![
                 ("session".to_string(), want.to_string()),
-                ("acked".to_string(), acked.to_string()),
+                ("acked".to_string(), s.acked().unwrap_or(0).to_string()),
             ];
-            if proto >= 2 {
-                kvs.push(("proto".to_string(), proto.to_string()));
-                *conn_proto = proto;
-            }
-            reply(stream, &ServerFrame::Ok(kvs))
+            *session = Some(s);
+            admit(kvs, proto, conn_proto, stream)
         }
         ClientFrame::Lease { epoch, ttl_ms } => {
             if session.is_some() {
-                ctx.metrics.decode_errors.add(1);
-                return reply(
-                    stream,
-                    &ServerFrame::Err(DecodeError::new(
-                        ErrCode::State,
-                        "LEASE is an admin frame; END your session first",
-                    )),
-                );
+                let err = state_err("LEASE is an admin frame; END your session first");
+                return ctx.reject(Reject::Frame, err, stream);
             }
             // The grant applies atomically; the ack reports the epoch
             // the daemon holds *after* it, so the router learns about a

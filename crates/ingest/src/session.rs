@@ -146,7 +146,7 @@ impl SessionReport {
     }
 }
 
-fn state_err(message: impl Into<String>) -> DecodeError {
+pub(crate) fn state_err(message: impl Into<String>) -> DecodeError {
     DecodeError::new(ErrCode::State, message)
 }
 
@@ -154,7 +154,7 @@ fn state_err(message: impl Into<String>) -> DecodeError {
 /// server's `limit` handling is exactly right for it: fatal for the
 /// session (the durability contract can no longer be kept), clean
 /// finalize with an exact report for the prefix that did persist.
-fn store_err(err: std::io::Error) -> DecodeError {
+pub(crate) fn store_err(err: std::io::Error) -> DecodeError {
     DecodeError::new(ErrCode::Limit, format!("durable store: {err}"))
 }
 

@@ -36,8 +36,8 @@
 //! Both codecs are deterministic state machines over the frame sequence:
 //! an [`Enc`] and a [`Dec`] fed the same frames stay in lockstep. The WAL
 //! uses a *fresh* codec per record ([`encode_event_record`] /
-//! [`decode_event_record`]), trading interning for statelessness so a
-//! checkpoint can rewrite any subset of records.
+//! [`decode_event_record`]), trading interning for statelessness so any
+//! committed prefix of the log decodes on its own.
 //!
 //! # Clock bodies
 //!

@@ -4,10 +4,10 @@
 //! (Theorem 3 exactness is a function of the accepted event sequence
 //! alone, so "identical report" is the whole durability contract).
 
-use paramount_durable::FsyncPolicy;
+use paramount_durable::{FsyncPolicy, Wal, WalConfig};
 use paramount_ingest::{
-    session_dir, Client, ClientError, EndReason, ErrCode, Hello, Server, ServerConfig,
-    SessionReport, WireOp,
+    session_dir, Client, ClientError, EndReason, ErrCode, Hello, ProtoPref, Server, ServerConfig,
+    SessionReport, WireOp, EVENT2_KIND,
 };
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -217,6 +217,50 @@ fn daemon_restart_recovers_and_resumes_persisted_sessions() {
     assert!(
         summary.ingest.sessions_recovered >= 1,
         "boot must count the recovered session"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A `paramount/2` session keeps logging binary records across a daemon
+/// restart. The boot scan recovers it before any client has spoken, so
+/// only the store — from the `HELLO` it persisted — can know the kind.
+#[test]
+fn boot_recovered_v2_session_keeps_logging_binary_records() {
+    let root = temp_root("restart-v2");
+    let all = ops();
+
+    let (addr, handle, rx, daemon) = spawn_daemon(durable_config(&root));
+    let mut client = Client::connect_tcp(addr).expect("connect");
+    client.set_proto_pref(ProtoPref::V2);
+    let session = client.hello(&Hello::new(2)).expect("hello");
+    send_range(&mut client, &all[..4]);
+    client.flush_sync().expect("flush");
+    handle.shutdown();
+    while rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("report")
+        .reason
+        != EndReason::Shutdown
+    {}
+    daemon.join().expect("daemon #1");
+    drop(client);
+
+    let (addr, handle, _rx, daemon) = spawn_daemon(durable_config(&root));
+    let mut client = Client::connect_tcp(addr).expect("reconnect");
+    client.set_proto_pref(ProtoPref::V2);
+    assert_eq!(client.resume(session).expect("resume at v2"), 4);
+    send_range(&mut client, &all[4..5]);
+    client.flush_sync().expect("flush");
+    handle.shutdown();
+    daemon.join().expect("daemon #2");
+
+    let (_, records) =
+        Wal::open(&session_dir(&root, session), WalConfig::default()).expect("open the log");
+    let last = records.last().expect("a committed record");
+    assert_eq!(
+        char::from(last.kind),
+        char::from(EVENT2_KIND),
+        "the event accepted after the restart"
     );
     let _ = std::fs::remove_dir_all(&root);
 }

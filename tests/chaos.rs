@@ -216,114 +216,3 @@ fn spawn_failures_stay_exact_end_to_end() {
         );
     }
 }
-
-/// Crash-safety of the durable session store: the chaos plan kills the
-/// process (a caught panic stands in for `kill -9`) *inside* checkpoint
-/// compaction — after the checkpoint record is durably appended, before
-/// the superseded segments are deleted. That is the widest crash window
-/// the LSM scheme has. Recovery must reconstruct exactly the accepted
-/// prefix, and resuming the remaining trace must land on the
-/// sequential-BFS oracle count for the whole poset.
-#[test]
-fn checkpoint_crash_recovers_the_exact_prefix_and_resumes_to_the_oracle() {
-    use paramount_ingest::{
-        parse_client_line, ClientFrame, Session, SessionStore, StoreConfig, WireOp,
-    };
-    use paramount_trace::gen::{random_program, RandomProgramConfig};
-    use paramount_trace::textfmt::{render_op, trace_of_program};
-
-    for seed in [3u64, 17] {
-        let program = random_program("crash", RandomProgramConfig::default(), seed);
-        let trace = trace_of_program(&program, seed);
-        // The sequential oracle for the *full* trace.
-        let poset = trace.to_poset(false);
-        let mut oracle_sink = paramount_enumerate::CountSink::default();
-        paramount_enumerate::bfs::enumerate(
-            &poset,
-            &paramount_enumerate::bfs::BfsOptions::default(),
-            &mut oracle_sink,
-        )
-        .expect("oracle BFS");
-        let expected = oracle_sink.count;
-
-        // Wire-format ops, exactly as a client would send them.
-        let wire: Vec<(usize, WireOp)> = trace
-            .ops
-            .iter()
-            .map(|&(tid, op)| {
-                let body = render_op(op, &trace.var_names, &trace.lock_names);
-                match parse_client_line(&format!("EVENT {} {body}", tid.index())) {
-                    Ok(ClientFrame::Event { tid, op }) => (tid, op),
-                    other => panic!("seed {seed}: unparseable wire op: {other:?}"),
-                }
-            })
-            .collect();
-
-        let dir = std::env::temp_dir().join(format!(
-            "paramount-chaos-ckpt-{}-{seed}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let hello = Hello::new(trace.threads);
-        let chaos_cfg = StoreConfig {
-            checkpoint_every: 4,
-            faults: FaultPlan {
-                // The second checkpoint crashes: the first has already
-                // compacted once, so recovery also proves
-                // last-checkpoint-wins over a stale surviving segment.
-                checkpoint_panic_at: Some(1),
-                ..FaultPlan::default()
-            },
-            ..StoreConfig::default()
-        };
-
-        // Phase 1: stream until the injected crash.
-        let session_config = paramount_ingest::SessionConfig::default();
-        let mut session = Session::open(1, &hello, &session_config).expect("open session");
-        session
-            .attach_store(SessionStore::create(&dir, 1, &hello, chaos_cfg).expect("create store"));
-        let mut accepted = 0usize;
-        let mut crashed = false;
-        for (tid, op) in &wire {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                session.apply(*tid, op).expect("apply")
-            }));
-            if outcome.is_err() {
-                crashed = true;
-                break;
-            }
-            accepted += 1;
-        }
-        assert!(crashed, "seed {seed}: the chaos plan must fire");
-        // Simulate the process dying: the half-checkpointed store is
-        // abandoned with whatever reached the filesystem.
-        drop(session);
-
-        // Phase 2: a fresh "process" recovers, resumes, finishes.
-        let rec = SessionStore::recover(&dir, StoreConfig::default())
-            .expect("recover io")
-            .expect("store must survive the crash");
-        assert_eq!(
-            rec.events.len(),
-            accepted + 1,
-            "seed {seed}: the crashing apply's event was durably appended \
-             before the checkpoint began"
-        );
-        let budget = Arc::new(paramount::MemoryBudget::new(
-            paramount::GovernorConfig::default(),
-        ));
-        let mut session = Session::recover(rec, &session_config, budget).expect("replay recovery");
-        let acked = session.acked().expect("durable session") as usize;
-        for (tid, op) in &wire[acked..] {
-            session.apply(*tid, op).expect("resumed apply");
-        }
-        let report = session.finalize(EndReason::End);
-        assert!(report.complete, "seed {seed}");
-        assert_eq!(
-            report.cuts, expected,
-            "seed {seed}: crash + recover + resume must land on the \
-             sequential-BFS oracle"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
