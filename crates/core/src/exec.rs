@@ -134,9 +134,9 @@ pub(crate) struct IntervalExecutor {
     /// (BFS/DFS); the lexical subroutine is stateless and ignores it.
     pub frontier_budget: Option<usize>,
     /// Liveness deadline for one in-flight interval (`None` = never
-    /// preempt). Workers check a cooperative cancellation token — and
-    /// this deadline inline — once per visited cut; an interval that
-    /// overstays is preempted and split or quarantined
+    /// preempt). Workers check a cooperative cancellation token once per
+    /// visited cut and this deadline inline every [`DEADLINE_STRIDE`]; an
+    /// interval that overstays is preempted and split or quarantined
     /// ([`crate::governor`]).
     pub interval_deadline: Option<Duration>,
     /// Deterministic fault-injection plan (inert, and unread, unless the
@@ -147,9 +147,9 @@ pub(crate) struct IntervalExecutor {
 
 impl IntervalExecutor {
     /// Enumerates one interval into `sink`, metering every completed
-    /// delivery into `emitted` so a fault knows the exact prefix length
-    /// that reached the sink. With a preemption guard, the cancellation
-    /// token and deadline are checked *before* each delivery, so a
+    /// delivery into `emitted` (published when the attempt ends, also by
+    /// unwinding) so a fault knows the exact prefix length that reached
+    /// the sink. A preemption guard is consulted *before* a delivery, so a
     /// preempted attempt's meter is still exactly the delivered prefix.
     fn run_interval<Sp, K>(
         &self,
@@ -164,19 +164,17 @@ impl IntervalExecutor {
         Sp: CutSpace + ?Sized,
         K: ParallelCutSink + ?Sized,
     {
-        let bridge = MeteredSink::new(SinkBridge::new(sink, iv.event), emitted);
+        let mut bridge = MeteredSink::new(SinkBridge::new(sink, iv.event), emitted);
         match preempt {
             Some(guard) => {
                 let mut wrapped = PreemptSink {
                     inner: bridge,
                     guard,
+                    visits: 0,
                 };
                 iv.enumerate_budgeted(space, algorithm, self.frontier_budget, &mut wrapped)
             }
-            None => {
-                let mut bridge = bridge;
-                iv.enumerate_budgeted(space, algorithm, self.frontier_budget, &mut bridge)
-            }
+            None => iv.enumerate_budgeted(space, algorithm, self.frontier_budget, &mut bridge),
         }
     }
 
@@ -262,9 +260,8 @@ impl IntervalExecutor {
         loop {
             attempts += 1;
             emitted.store(0, Ordering::Relaxed);
-            let guard = preempt.map(|p| PreemptGuard {
-                cancel: p.cancel,
-                deadline_at: p.deadline_at,
+            let guard = preempt.map(|control| PreemptGuard {
+                control,
                 tripped: &tripped,
             });
             // The sink is reachable after the catch by design (shared,
@@ -332,18 +329,20 @@ pub(crate) enum IntervalFault {
 pub(crate) struct PreemptControl<'a> {
     /// Cooperative cancellation token, checked once per visited cut.
     pub cancel: &'a AtomicBool,
-    /// Absolute deadline, checked inline alongside the token.
+    /// Absolute deadline, read inline every [`DEADLINE_STRIDE`] visits.
     pub deadline_at: Option<Instant>,
 }
 
-/// Per-attempt view of a [`PreemptControl`]: adds the `tripped` flag the
-/// run uses to tell a preemption `Break` apart from a sink-requested
-/// stop.
+/// Per-attempt view of a [`PreemptControl`]: adds the `tripped` flag that
+/// tells a preemption `Break` apart from a sink-requested stop.
 struct PreemptGuard<'a> {
-    cancel: &'a AtomicBool,
-    deadline_at: Option<Instant>,
+    control: &'a PreemptControl<'a>,
     tripped: &'a AtomicBool,
 }
+
+/// Visits between two clock reads under an inline deadline. The first
+/// visit reads it, so a deadline already past delivers nothing.
+const DEADLINE_STRIDE: u32 = 64;
 
 /// [`CutSink`] wrapper enforcing preemption: checks the token and the
 /// deadline *before* delegating, so a tripped visit delivers nothing and
@@ -351,15 +350,16 @@ struct PreemptGuard<'a> {
 struct PreemptSink<'a, S> {
     inner: S,
     guard: &'a PreemptGuard<'a>,
+    visits: u32,
 }
 
 impl<S: CutSink> CutSink for PreemptSink<'_, S> {
     fn visit(&mut self, cut: paramount_poset::CutRef<'_>) -> ControlFlow<()> {
-        if self.guard.cancel.load(Ordering::Relaxed)
-            || self
-                .guard
-                .deadline_at
-                .is_some_and(|at| Instant::now() >= at)
+        let clock_due = self.visits % DEADLINE_STRIDE == 0;
+        self.visits = self.visits.wrapping_add(1);
+        let control = self.guard.control;
+        if control.cancel.load(Ordering::Relaxed)
+            || (clock_due && control.deadline_at.is_some_and(|at| Instant::now() >= at))
         {
             self.guard.tripped.store(true, Ordering::Relaxed);
             return ControlFlow::Break(());
@@ -621,7 +621,7 @@ where
 
     /// Starts the watchdog through `spawn`; it only exists when a deadline
     /// is configured. If its spawn fails, preemption still works: workers
-    /// check the deadline inline at every visited cut; only a *stuck* sink
+    /// check the deadline inline as they visit cuts; only a *stuck* sink
     /// (one that never returns control) escapes detection without the
     /// external thread.
     fn spawn_watchdog<H>(
@@ -1562,5 +1562,43 @@ mod tests {
         // base threshold) halves it, flipping this interval to leveled.
         metrics.interval_cuts.record(10 * u64::from(base));
         assert_eq!(exec.resolve_algorithm(&iv, &metrics), Algorithm::Leveled);
+    }
+    #[test]
+    fn deadline_expiring_between_two_clock_reads_reports_the_exact_prefix() {
+        // One free thread, 200 cuts. The sink outlasts the deadline inside
+        // its 10th delivery; the clock is next read before delivery 65, so
+        // 64 cuts reach the sink and the meter must say exactly that.
+        let mut b = paramount_poset::builder::PosetBuilder::new(2);
+        b.append(Tid(0), ());
+        for _ in 0..199 {
+            b.append(Tid(1), ());
+        }
+        let p = b.finish();
+        let deadline_at = Instant::now() + Duration::from_millis(250);
+        let delivered = AtomicU64::new(0);
+        let sink = |_: paramount_poset::CutRef<'_>, _: EventId| {
+            if delivered.fetch_add(1, Ordering::Relaxed) + 1 == 10 {
+                while Instant::now() < deadline_at {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            }
+            ControlFlow::Continue(())
+        };
+        let (cancel, emitted) = (AtomicBool::new(false), AtomicU64::new(0));
+        let control = PreemptControl {
+            cancel: &cancel,
+            deadline_at: Some(deadline_at),
+        };
+        let outcome = executor(Algorithm::Lexical).run_isolated(
+            &p,
+            &interval_with_box(200),
+            &sink,
+            &ParaMetrics::new(0),
+            &emitted,
+            Some(&control),
+        );
+        let stride = u64::from(DEADLINE_STRIDE);
+        assert!(matches!(outcome, Err(IntervalFault::Preempted { emitted }) if emitted == stride));
+        assert_eq!(delivered.load(Ordering::Relaxed), stride);
     }
 }

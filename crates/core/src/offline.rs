@@ -261,7 +261,7 @@ mod tests {
     use super::*;
     use crate::sink::{AtomicCountSink, ConcurrentCollectSink};
     use paramount_poset::random::RandomComputation;
-    use paramount_poset::{oracle, CutRef, Frontier, Poset};
+    use paramount_poset::{oracle, CutRef, Frontier, Poset, Tid};
     use std::ops::ControlFlow;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -456,6 +456,48 @@ mod tests {
             stats.metrics.intervals_completed + stats.metrics.intervals_quarantined,
             stats.metrics.intervals_dispatched
         );
+        assert_exact_partition(&p, &stats);
+    }
+
+    #[test]
+    fn worker_body_panic_after_delivery_quarantines_the_exact_prefix() {
+        // t0: four events, then one concurrent event on t1 whose interval
+        // is the five cuts {0..4, 1}. Its third delivery panics with a
+        // payload whose own drop panics: the second panic starts after
+        // the executor's `catch_unwind` has returned, so it takes the
+        // worker body down and the supervisor quarantines from the slot's
+        // meter — which the unwinding attempt must have left at 2.
+        struct Bomb;
+        impl Drop for Bomb {
+            fn drop(&mut self) {
+                if !std::thread::panicking() {
+                    panic!("payload dropped");
+                }
+            }
+        }
+        let mut b = paramount_poset::builder::PosetBuilder::new(2);
+        let mut order: Vec<EventId> = (0..4).map(|_| b.append(Tid(0), ())).collect();
+        let victim = b.append(Tid(1), ());
+        order.push(victim);
+        let p = b.finish();
+        let visits = AtomicU64::new(0);
+        let sink = |_: CutRef<'_>, owner: EventId| {
+            if owner == victim && visits.fetch_add(1, Ordering::Relaxed) == 2 {
+                std::panic::panic_any(Bomb);
+            }
+            ControlFlow::Continue(())
+        };
+        let stats = ParaMount::new(Algorithm::Lexical)
+            .with_threads(1)
+            .enumerate_with_order(&p, &order, &sink)
+            .unwrap();
+        assert_eq!(stats.faults.len(), 1);
+        let q = &stats.faults.quarantined[0];
+        assert_eq!(q.interval.event, victim);
+        assert_eq!((q.cuts_emitted, q.attempts), (2, 1));
+        assert!(q.message.contains("payload dropped"), "{}", q.message);
+        assert_eq!(stats.metrics.worker_restarts, 1);
+        assert_eq!(stats.cuts, 5 + 2, "t0's five cuts and the delivered prefix");
         assert_exact_partition(&p, &stats);
     }
 

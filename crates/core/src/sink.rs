@@ -133,20 +133,29 @@ impl<K: ParallelCutSink + ?Sized> CutSink for SinkBridge<'_, K> {
 }
 
 /// Wraps a sequential [`CutSink`], counting every delivery whose `visit`
-/// *returned* into an external atomic. The counter survives a panic
-/// unwinding out of the inner sink (the count is visible through the
-/// `catch_unwind` boundary), which is what lets the engine know exactly
+/// *returned*. The count is kept in the wrapper and added to an external
+/// atomic when the wrapper is dropped — on return or while a panic from
+/// the inner sink unwinds through it — so it is visible behind the
+/// `catch_unwind` boundary, which is what lets the engine know exactly
 /// how many cuts of an interval the sink saw before a fault: a delivery
-/// that panicked mid-visit is conservatively *not* counted.
+/// that panicked mid-visit is conservatively *not* counted. Nothing reads
+/// the atomic while the wrapper lives, so the enumeration loop pays a
+/// plain increment per cut instead of an atomic one.
 pub struct MeteredSink<'a, S> {
     inner: S,
+    delivered: u64,
     emitted: &'a AtomicU64,
 }
 
 impl<'a, S: CutSink> MeteredSink<'a, S> {
-    /// Meters `inner`, adding one to `emitted` per completed delivery.
+    /// Meters `inner`; dropping the meter adds its completed deliveries
+    /// to `emitted`.
     pub fn new(inner: S, emitted: &'a AtomicU64) -> Self {
-        MeteredSink { inner, emitted }
+        MeteredSink {
+            inner,
+            delivered: 0,
+            emitted,
+        }
     }
 }
 
@@ -154,8 +163,14 @@ impl<S: CutSink> CutSink for MeteredSink<'_, S> {
     #[inline]
     fn visit(&mut self, cut: CutRef<'_>) -> ControlFlow<()> {
         let flow = self.inner.visit(cut);
-        self.emitted.fetch_add(1, Ordering::Relaxed);
+        self.delivered += 1;
         flow
+    }
+}
+
+impl<S> Drop for MeteredSink<'_, S> {
+    fn drop(&mut self) {
+        self.emitted.fetch_add(self.delivered, Ordering::Relaxed);
     }
 }
 
@@ -303,5 +318,27 @@ mod tests {
         }));
         assert!(panicky.is_err());
         assert_eq!(emitted.load(Ordering::Relaxed), 2);
+    }
+    #[test]
+    fn metered_count_survives_the_unwind_at_any_prefix_length() {
+        // The sink panics on its m-th visit; the m − 1 completed ones are
+        // published by the drop guard while the panic unwinds through it.
+        for m in [1u64, 2, 65] {
+            let emitted = AtomicU64::new(0);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut visits = 0;
+                let mut inner = |_: CutRef<'_>| {
+                    visits += 1;
+                    assert!(visits < m, "visit {m} panics");
+                    ControlFlow::Continue(())
+                };
+                let mut metered = MeteredSink::new(&mut inner, &emitted);
+                loop {
+                    let _ = metered.visit(g(&[1]).as_cut());
+                }
+            }));
+            assert!(unwound.is_err());
+            assert_eq!(emitted.load(Ordering::Relaxed), m - 1, "m = {m}");
+        }
     }
 }

@@ -15,8 +15,10 @@
 //! * [`dfs`] — depth-first enumeration with a visited set; same worst-case
 //!   space, different traversal order. Included as an extra baseline.
 //! * [`lexical`] — the Ganter/Garg lexical ("next-closure") algorithm
-//!   (the paper's Algorithm 2 when bounded): **stateless**, `O(n²)` work
-//!   per cut, `O(n)` live memory.
+//!   (the paper's Algorithm 2 when bounded): **one live frontier**, the
+//!   closure kept as a stack of prefix floors (`O(free²)` words for an
+//!   interval with `free` unpinned threads), amortised
+//!   `O(nnz(f) + n − k)` work per step.
 //! * [`leveled`] — the Chauhan/Garg space-efficient breadth-first walk:
 //!   level-by-level (rank-ordered) emission like BFS, but each level is
 //!   *regenerated* by a backtracking search instead of stored, so live

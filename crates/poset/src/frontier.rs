@@ -188,8 +188,11 @@ impl Frontier {
         }
     }
 
+    /// Raw per-thread counts, writable: the width is fixed, the counts are
+    /// the caller's to keep meaningful (an enumerator's scratch frontier
+    /// writes a whole suffix through this in one borrow).
     #[inline]
-    fn as_mut_slice(&mut self) -> &mut [u32] {
+    pub fn as_mut_slice(&mut self) -> &mut [u32] {
         match &mut self.repr {
             Repr::Inline { len, buf } => &mut buf[..*len as usize],
             Repr::Heap(b) => b,
