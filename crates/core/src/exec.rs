@@ -1056,6 +1056,11 @@ where
         let watchdog = pool.spawn_watchdog(|builder, deadline| {
             builder.spawn_scoped(scope, move || pool.watchdog_entry(deadline))
         });
+        // Stops the watchdog however this body ends: a panic on this
+        // thread unwinds through the guard, so the scope can join the
+        // watchdog and re-raise the panic instead of waiting forever.
+        let watchdog = watchdog.map(|handle| handle.thread().clone());
+        let _stop = OnDrop(|| pool.stop_watchdog(watchdog.as_ref()));
         let workers = pool.spawn_workers(|builder, w| {
             builder.spawn_scoped(scope, move || pool.worker_entry(source, w))
         });
@@ -1065,9 +1070,17 @@ where
             let _ = handle.join();
         }
         pool.drain_inline(source);
-        pool.stop_watchdog(watchdog.as_ref().map(|handle| handle.thread()));
     });
     pool.outcome()
+}
+
+/// Runs its closure when dropped, by unwinding too.
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)();
+    }
 }
 
 /// The online engine's pool handle: worker threads that outlive any one
@@ -1468,13 +1481,50 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_on_the_callers_thread_reaches_the_caller_past_the_watchdog() {
+        // The sink panics with a payload whose own drop panics: the
+        // per-interval boundary catches the first panic, and dropping
+        // its payload raises a second one outside that boundary. The one
+        // worker dies of it until the restart budget is spent; the
+        // caller's inline drain then meets it on its own thread, inside
+        // the scope, with a watchdog running. The run must re-raise it,
+        // and is held to a deadline so a hang fails instead of waiting.
+        struct Bomb;
+        impl Drop for Bomb {
+            fn drop(&mut self) {
+                panic!("panic payload dropped");
+            }
+        }
+        let (done, outcome) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let poset = RandomComputation::new(2, 12, 0.3, 7).generate();
+            let mut queue = partition_packed(&poset, &topo::weight_order(&poset));
+            assert!(queue.len() > RESTART_BUDGET as usize + 1);
+            let exec = IntervalExecutor {
+                interval_deadline: Some(Duration::from_secs(600)),
+                ..executor(Algorithm::Lexical)
+            };
+            let sink = |_: paramount_poset::CutRef<'_>, _: EventId| -> ControlFlow<()> {
+                std::panic::panic_any(Bomb)
+            };
+            let pool = Pool::new(&poset, exec, &sink, Arc::new(ParaMetrics::new(1)), 1);
+            let run = catch_unwind(AssertUnwindSafe(|| run_partition_on(&pool, &mut queue)));
+            let _ = done.send(run.is_err());
+        });
+        let panicked = outcome
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the offline run hung instead of re-raising the panic");
+        assert!(panicked, "the panic must reach the caller");
+        runner.join().expect("the runner caught the panic");
+    }
+
+    #[test]
     fn poisoned_pool_locks_still_enumerate_every_cut_exactly_once() {
         // Every pool mutex is poisoned before the run: `lock` takes each
         // guard out of its poison, so both engines must still deliver the
-        // oracle's count and balance the interval ledger. No deadline, so
-        // no watchdog: a lock that panics fails the test instead of
-        // leaving a scoped watchdog running. The online budget has a
-        // watermark, so a full queue spills instead of blocking.
+        // oracle's count and balance the interval ledger. The online
+        // budget has a watermark, so a full queue spills instead of
+        // blocking.
         let poset = Arc::new(RandomComputation::new(4, 5, 0.5, 29).generate());
         let expected = oracle::enumerate_product_scan(&*poset).len() as u64;
         let order = topo::weight_order(&*poset);

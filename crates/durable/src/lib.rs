@@ -9,7 +9,8 @@
 //!   (the engine crates re-export it from here, so there is exactly one
 //!   implementation in the workspace).
 //! * [`wal`] — a segmented append-only log of length-prefixed,
-//!   CRC32-checksummed records with torn-tail truncation on open, a
+//!   CRC32-checksummed records with torn-tail truncation on open, an
+//!   in-memory tail that each sync writes in one `write`, a
 //!   configurable fsync policy, and snapshot compaction for logs whose
 //!   state is bounded: a record written through [`wal::Wal::compact`]
 //!   supersedes every earlier segment, which are then deleted.

@@ -17,6 +17,22 @@
 //! `kind` bytes are owned by the caller — the WAL stores and replays
 //! them opaquely.
 //!
+//! # The unwritten tail
+//!
+//! [`Wal::append`] frames a record into an in-memory *tail* and makes no
+//! syscall. The tail reaches the active segment in one `write` — at every
+//! [`Wal::sync`] (under every [`FsyncPolicy`]; `Never` only skips the
+//! fsync), before a segment rotation, in [`Wal::compact`], once it holds
+//! [`TAIL_BYTES`], and, best-effort, when the `Wal` is dropped. The bytes
+//! on disk are the same as if each record had been written on its own,
+//! and the tail holds at most [`TAIL_BYTES`] plus one record.
+//!
+//! **A failure poisons the log.** After any failed append, sync or
+//! compact — a short or failed `write`, a failed fsync — the tail is
+//! dropped and every later call returns an error naming the first one. A
+//! caller therefore never counts a record that is not in the log, and
+//! never appends behind a torn one.
+//!
 //! # Crash model & torn-tail truncation
 //!
 //! [`Wal::open`] scans segments in sequence order and replays every
@@ -24,8 +40,11 @@
 //! mismatch). The offending segment is truncated at the last valid
 //! record boundary and **all later segments are deleted**: the log's
 //! contents after open are exactly the committed prefix of what was
-//! appended, in order. A kill -9 at any instruction loses at most the
-//! records an [`FsyncPolicy`] had not yet forced down.
+//! appended, in order. A kill -9 at any instruction loses the unwritten
+//! tail — at most the records since the last `sync` or rotation, or the
+//! last [`TAIL_BYTES`] of them — and nothing a returned `sync` covered.
+//! A power loss can also lose what the [`FsyncPolicy`] had not yet
+//! forced down.
 //!
 //! # Compaction
 //!
@@ -50,11 +69,18 @@ use std::path::{Path, PathBuf};
 /// Bytes of segment-file magic: `pmwal001`.
 const MAGIC: &[u8; 8] = b"pmwal001";
 
-/// When to force appended records to stable storage.
+/// Bytes of framed records the tail holds before [`Wal::append`] writes
+/// it without waiting for a [`Wal::sync`].
+pub const TAIL_BYTES: usize = 64 << 10;
+
+/// When to force written records to stable storage. Under every policy a
+/// [`Wal::sync`] writes the tail first, so a kill -9 after it returns
+/// loses nothing it covered; the policies differ in what a power loss
+/// can take.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// fsync after every append — maximum durability, one syscall per
-    /// record.
+    /// Write and fsync every record as it is appended — maximum
+    /// durability, one `write` and one fsync per record, and no tail.
     Always,
     /// fsync only at explicit [`Wal::sync`] points (the daemon calls it
     /// on FLUSH and checkpoint) and on segment rotation. The default:
@@ -62,9 +88,10 @@ pub enum FsyncPolicy {
     /// flush, which is exactly what the resume protocol re-sends.
     #[default]
     OnDemand,
-    /// Never fsync (the OS flushes on its own schedule). For
-    /// throughput benchmarks and tests; a power loss may lose
-    /// acknowledged records.
+    /// Never fsync (the OS flushes on its own schedule); [`Wal::sync`]
+    /// still writes the tail. For throughput benchmarks and tests; a
+    /// kill -9 loses what an `OnDemand` log would, but a power loss may
+    /// lose acknowledged records.
     Never,
 }
 
@@ -114,8 +141,8 @@ pub struct Record {
     pub payload: Vec<u8>,
 }
 
-/// A segmented append-only log (see the module docs for the format and
-/// crash model).
+/// A segmented append-only log (see the module docs for the format,
+/// the unwritten tail and the crash model).
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
@@ -124,10 +151,16 @@ pub struct Wal {
     sealed: Vec<u64>,
     active_seq: u64,
     active: File,
+    /// Bytes of the active segment, the unwritten tail included.
     active_len: u64,
-    /// Appends since the last fsync — lets `sync` skip the syscall when
+    /// Framed records appended since the last write, in append order.
+    tail: Vec<u8>,
+    /// Writes since the last fsync — lets `sync` skip the syscall when
     /// there is nothing to force down.
     dirty: bool,
+    /// The first failure of an append, sync or compact; set, it refuses
+    /// every later one (see "A failure poisons the log").
+    poisoned: Option<(io::ErrorKind, String)>,
 }
 
 fn segment_path(dir: &Path, seq: u64) -> PathBuf {
@@ -192,6 +225,59 @@ fn encode_record(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
 /// fsyncs the directory entry metadata (file creations/deletions).
 fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
+}
+
+/// Every write of segment bytes goes through here, so a test can fail
+/// the k-th one (see `fail_write`).
+fn write_bytes(file: &mut File, bytes: &[u8]) -> io::Result<()> {
+    #[cfg(test)]
+    if let Some(written) = fail_write::hit(bytes.len()) {
+        file.write_all(&bytes[..written])?;
+        return Err(io::Error::other("injected write failure"));
+    }
+    file.write_all(bytes)
+}
+
+/// A test-only fault: fail the k-th physical write on this thread,
+/// optionally after writing half of its bytes.
+#[cfg(test)]
+mod fail_write {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Physical writes made on this thread.
+        static WRITES: Cell<u64> = const { Cell::new(0) };
+        /// `(k, half)`: fail write number `k`, after writing half of
+        /// its bytes when `half` is set.
+        static PLAN: Cell<Option<(u64, bool)>> = const { Cell::new(None) };
+    }
+
+    /// Physical writes this thread has made so far.
+    pub(super) fn writes() -> u64 {
+        WRITES.with(Cell::get)
+    }
+
+    /// Fails write number `k` (as counted by [`writes`]) after writing
+    /// none or half of its bytes.
+    pub(super) fn arm(k: u64, half: bool) {
+        PLAN.with(|plan| plan.set(Some((k, half))));
+    }
+
+    pub(super) fn disarm() {
+        PLAN.with(|plan| plan.set(None));
+    }
+
+    /// Counts one write of `len` bytes; `Some(n)` fails it after `n`.
+    pub(super) fn hit(len: usize) -> Option<usize> {
+        let n = WRITES.with(|w| {
+            w.set(w.get() + 1);
+            w.get()
+        });
+        match PLAN.with(Cell::get) {
+            Some((k, half)) if k == n => Some(if half { len / 2 } else { 0 }),
+            _ => None,
+        }
+    }
 }
 
 impl Wal {
@@ -270,7 +356,7 @@ impl Wal {
                 file.set_len(0)?;
                 drop(file);
                 let mut file = OpenOptions::new().write(true).open(&path)?;
-                file.write_all(MAGIC)?;
+                write_bytes(&mut file, MAGIC)?;
                 file.sync_all()?;
                 torn = true;
                 kept.push(seq);
@@ -296,7 +382,7 @@ impl Wal {
             None => {
                 let seq = 1;
                 let mut file = File::create(segment_path(dir, seq))?;
-                file.write_all(MAGIC)?;
+                write_bytes(&mut file, MAGIC)?;
                 if config.fsync != FsyncPolicy::Never {
                     file.sync_all()?;
                     sync_dir(dir)?;
@@ -319,7 +405,9 @@ impl Wal {
                 active_seq,
                 active,
                 active_len,
+                tail: Vec::new(),
                 dirty: false,
+                poisoned: None,
             },
             records,
         ))
@@ -335,45 +423,101 @@ impl Wal {
         self.sealed.len() + 1
     }
 
-    /// Appends one record, rotating the active segment first if it is
-    /// over the configured size.
+    /// Appends one record to the tail, rotating the active segment first
+    /// if it is over the configured size. Makes no syscall unless the
+    /// rotation does, the tail reaches [`TAIL_BYTES`], or the policy is
+    /// [`FsyncPolicy::Always`].
     pub fn append(&mut self, kind: u8, payload: &[u8]) -> io::Result<()> {
-        if self.active_len > MAGIC.len() as u64
-            && self.active_len >= self.config.segment_bytes as u64
-        {
-            self.rotate()?;
+        self.unless_poisoned(|wal| {
+            if wal.active_len > MAGIC.len() as u64
+                && wal.active_len >= wal.config.segment_bytes as u64
+            {
+                wal.rotate()?;
+            }
+            wal.push_record(kind, payload);
+            if wal.config.fsync == FsyncPolicy::Always {
+                wal.write_and_sync()
+            } else if wal.tail.len() >= TAIL_BYTES {
+                wal.write_tail()
+            } else {
+                Ok(())
+            }
+        })
+    }
+
+    /// Writes the tail, then forces every written record to stable
+    /// storage (the fsync is skipped under [`FsyncPolicy::Never`] or when
+    /// nothing was written since the last one).
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.unless_poisoned(Wal::write_and_sync)
+    }
+
+    /// Bytes appended but not yet written (the tail).
+    pub fn unwritten_bytes(&self) -> usize {
+        self.tail.len()
+    }
+
+    /// Drops the unwritten tail without writing it: the records appended
+    /// since the last write will not be in the log. For an owner that
+    /// has lost the right to write (a fenced session store).
+    pub fn discard_tail(&mut self) {
+        self.active_len -= self.tail.len() as u64;
+        self.tail.clear();
+    }
+
+    /// Runs `op` unless the log is poisoned, and poisons it if `op`
+    /// fails.
+    fn unless_poisoned(&mut self, op: impl FnOnce(&mut Wal) -> io::Result<()>) -> io::Result<()> {
+        if let Some((kind, first)) = &self.poisoned {
+            return Err(io::Error::new(
+                *kind,
+                format!("log refuses writes after an earlier failure: {first}"),
+            ));
         }
-        let mut buf = Vec::with_capacity(payload.len() + 16);
-        encode_record(&mut buf, kind, payload);
-        self.active.write_all(&buf)?;
-        self.active_len += buf.len() as u64;
+        let result = op(self);
+        if let Err(err) = &result {
+            self.poisoned = Some((err.kind(), err.to_string()));
+            self.discard_tail();
+        }
+        result
+    }
+
+    /// Frames one record onto the tail.
+    fn push_record(&mut self, kind: u8, payload: &[u8]) {
+        let before = self.tail.len();
+        encode_record(&mut self.tail, kind, payload);
+        self.active_len += (self.tail.len() - before) as u64;
+    }
+
+    /// Writes the tail to the active segment in one `write`.
+    fn write_tail(&mut self) -> io::Result<()> {
+        if self.tail.is_empty() {
+            return Ok(());
+        }
+        write_bytes(&mut self.active, &self.tail)?;
+        self.tail.clear();
         self.dirty = true;
-        if self.config.fsync == FsyncPolicy::Always {
-            self.sync()?;
-        }
         Ok(())
     }
 
-    /// Forces every appended record to stable storage (no-op under
-    /// [`FsyncPolicy::Never`] or when nothing is dirty).
-    pub fn sync(&mut self) -> io::Result<()> {
-        if self.config.fsync == FsyncPolicy::Never || !self.dirty {
-            self.dirty = false;
-            return Ok(());
+    fn write_and_sync(&mut self) -> io::Result<()> {
+        self.write_tail()?;
+        if self.config.fsync != FsyncPolicy::Never && self.dirty {
+            self.active.sync_data()?;
         }
-        self.active.sync_data()?;
         self.dirty = false;
         Ok(())
     }
 
-    /// Seals the active segment and starts a fresh one.
+    /// Writes the tail, seals the active segment and starts a fresh one.
     fn rotate(&mut self) -> io::Result<()> {
+        self.write_tail()?;
         if self.config.fsync != FsyncPolicy::Never {
             self.active.sync_data()?;
         }
         let seq = self.active_seq + 1;
         let mut file = File::create(segment_path(&self.dir, seq))?;
-        file.write_all(MAGIC)?;
+        write_bytes(&mut file, MAGIC)?;
         if self.config.fsync != FsyncPolicy::Never {
             file.sync_all()?;
             sync_dir(&self.dir)?;
@@ -393,22 +537,32 @@ impl Wal {
     /// segments that replay *before* the snapshot, which a
     /// last-snapshot-wins reader ignores.
     pub fn compact(&mut self, kind: u8, payload: &[u8]) -> io::Result<usize> {
-        self.rotate()?;
-        let mut buf = Vec::with_capacity(payload.len() + 16);
-        encode_record(&mut buf, kind, payload);
-        self.active.write_all(&buf)?;
-        self.active_len += buf.len() as u64;
-        self.active.sync_data()?;
-        let superseded = std::mem::take(&mut self.sealed);
-        let removed = superseded.len();
-        for seq in superseded {
-            fs::remove_file(segment_path(&self.dir, seq))?;
-        }
-        if self.config.fsync != FsyncPolicy::Never {
-            sync_dir(&self.dir)?;
-        }
-        self.dirty = false;
+        let mut removed = 0;
+        self.unless_poisoned(|wal| {
+            wal.rotate()?;
+            wal.push_record(kind, payload);
+            wal.write_tail()?;
+            wal.active.sync_data()?;
+            let superseded = std::mem::take(&mut wal.sealed);
+            removed = superseded.len();
+            for seq in superseded {
+                fs::remove_file(segment_path(&wal.dir, seq))?;
+            }
+            if wal.config.fsync != FsyncPolicy::Never {
+                sync_dir(&wal.dir)?;
+            }
+            wal.dirty = false;
+            Ok(())
+        })?;
         Ok(removed)
+    }
+}
+
+impl Drop for Wal {
+    /// Writes the tail, best-effort and without an fsync, so a clean exit
+    /// keeps what a kill -9 would lose. A poisoned log has no tail.
+    fn drop(&mut self) {
+        let _ = self.write_tail();
     }
 }
 
@@ -570,6 +724,89 @@ mod tests {
         let (_wal, reopened) = Wal::open(&dir, cfg).unwrap();
         assert_eq!(reopened.len(), records.len(), "repair is idempotent");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Fails every physical write of a scripted session in turn — appends,
+    /// syncs, one rotation and the final drop — before any of its bytes
+    /// land and again after half of them. The failing call errs, every
+    /// later append and sync errs, and the reopened log is an exact
+    /// prefix that holds at least everything a returned `sync` covered.
+    #[test]
+    fn every_failed_write_poisons_the_log_and_leaves_an_exact_prefix() {
+        enum Step {
+            Append,
+            Sync,
+        }
+        use Step::{Append as A, Sync as S};
+        // 22-byte records in 100-byte segments: the sixth append rotates.
+        let script = [A, A, S, A, A, A, A, S, A, A, A, A];
+        let payload = |i: usize| vec![i as u8; 16];
+        for fsync in [FsyncPolicy::OnDemand, FsyncPolicy::Always] {
+            let cfg = WalConfig {
+                segment_bytes: 100,
+                fsync,
+            };
+            // Run the script with write `fail_at` failing (0: none);
+            // returns (writes made, appends attempted, appends a returned
+            // sync covered, the reopened log).
+            let run = |fail_at: u64, half: bool| {
+                let dir = scratch_dir("fail-write");
+                let (mut wal, _) = Wal::open(&dir, cfg).unwrap();
+                let base = fail_write::writes();
+                if fail_at > 0 {
+                    fail_write::arm(base + fail_at, half);
+                }
+                let (mut appended, mut covered, mut failed) = (0, 0, false);
+                for step in &script {
+                    let result = match step {
+                        Step::Append => {
+                            appended += 1;
+                            wal.append(1, &payload(appended))
+                        }
+                        Step::Sync => wal.sync(),
+                    };
+                    match result {
+                        _ if failed => {
+                            assert!(result.is_err(), "write {fail_at}: call after the failure")
+                        }
+                        Err(_) => failed = true,
+                        Ok(()) if matches!(step, Step::Sync) || fsync == FsyncPolicy::Always => {
+                            covered = appended
+                        }
+                        Ok(()) => {}
+                    }
+                }
+                let before_drop = fail_write::writes() - base;
+                drop(wal);
+                let writes = fail_write::writes() - base;
+                fail_write::disarm();
+                assert_eq!(
+                    failed,
+                    fail_at > 0 && fail_at <= before_drop,
+                    "write {fail_at}: the failing call must report it"
+                );
+                let (_wal, records) = Wal::open(&dir, cfg).unwrap();
+                fs::remove_dir_all(&dir).unwrap();
+                (writes, appended, covered, records)
+            };
+            let (writes, appended, covered, records) = run(0, false);
+            let all_covered = if fsync == FsyncPolicy::Always { 10 } else { 6 };
+            assert_eq!((appended, covered, records.len()), (10, all_covered, 10));
+            assert!(writes >= 5, "{fsync:?}: the script must rotate and drop");
+            for fail_at in 1..=writes {
+                for half in [false, true] {
+                    let (_, appended, covered, records) = run(fail_at, half);
+                    assert!(
+                        (covered..=appended).contains(&records.len()),
+                        "{fsync:?} write {fail_at} half={half}: {} records, covered {covered}, appended {appended}",
+                        records.len()
+                    );
+                    for (i, record) in records.iter().enumerate() {
+                        assert_eq!(record.payload, payload(i + 1), "not an exact prefix");
+                    }
+                }
+            }
+        }
     }
 
     /// Replay throughput over a long multi-segment prefix, for

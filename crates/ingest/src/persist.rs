@@ -43,6 +43,26 @@
 //! list, then the same `acked` check applies), so existing data dirs
 //! resume; nothing writes them any more.
 //!
+//! # What a crash loses
+//!
+//! Appends go to the WAL's in-memory tail ([`paramount_durable::wal`]):
+//! a per-event append makes no syscall, and the tail reaches the log in
+//! one `write` at the next `FLUSH` ([`SessionStore::sync`]), checkpoint
+//! or drain, or once it holds [`paramount_durable::wal::TAIL_BYTES`].
+//! So under every [`FsyncPolicy`] a kill -9 loses at most the events
+//! accepted since the last `FLUSH`, checkpoint or drain, and never an
+//! event a `FLUSH` acked; `RESUME`'s `acked=` names exactly what
+//! survived, and the client re-sends the rest. `Always` writes and
+//! fsyncs every event and has no tail; `Never` differs from `OnDemand`
+//! only in what a power loss takes.
+//!
+//! Two rules keep `acked` honest. A failed write poisons the WAL: every
+//! later append and sync fails, so the session ends `ERR limit` with an
+//! exact prefix instead of counting an event that is not in the log.
+//! And fencing reaches the tail: it is written only while the store's
+//! epoch check passes, and a fenced or stale store discards it on drop,
+//! as [`SessionStore::delete`] does.
+//!
 //! # Record encoding
 //!
 //! Payloads reuse the wire protocol's line grammar verbatim — a `META`
@@ -195,6 +215,8 @@ pub struct SessionStore {
     owner: u64,
     /// Events accepted so far (the log's `E`/`F` records).
     acked: u64,
+    /// Reused for each binary event record's body.
+    scratch: Vec<u8>,
     since_checkpoint: u64,
     /// Segments currently charged to the `wal_segments` gauge.
     charged_segments: u64,
@@ -263,6 +285,7 @@ impl SessionStore {
             id,
             hello,
             acked: 0,
+            scratch: Vec::new(),
             since_checkpoint: 0,
             charged_segments: 0,
         }
@@ -379,8 +402,9 @@ impl SessionStore {
         self.epoch_check()?;
         let op = op.into();
         if self.cfg.binary_events {
-            let body = crate::wire2::encode_event_record(tid, op);
-            self.wal.append(EVENT2_KIND, &body)?;
+            self.scratch.clear();
+            crate::wire2::push_event_record(&mut self.scratch, tid, op);
+            self.wal.append(EVENT2_KIND, &self.scratch)?;
         } else {
             let line = format!("EVENT {tid} {}", op.render());
             self.wal.append(EVENT_KIND, line.as_bytes())?;
@@ -396,9 +420,14 @@ impl SessionStore {
         self.cfg.checkpoint_every > 0 && self.since_checkpoint >= self.cfg.checkpoint_every
     }
 
-    /// Forces every accepted event so far to stable storage (the `FLUSH`
-    /// durability point the acked count is measured at).
+    /// Writes the WAL's tail and forces every accepted event so far to
+    /// stable storage (the `FLUSH` durability point the acked count is
+    /// measured at). A fenced or stale store refuses while it has
+    /// unwritten events: those never reach the log.
     pub fn sync(&mut self) -> io::Result<()> {
+        if self.wal.unwritten_bytes() > 0 {
+            self.epoch_check()?;
+        }
         self.wal.sync()
     }
 
@@ -491,6 +520,7 @@ impl SessionStore {
     /// resume). Consumes the store; the session directory — including
     /// any interval spill files beside the WAL — is removed.
     pub fn delete(mut self) -> io::Result<()> {
+        self.wal.discard_tail();
         self.release_gauge();
         let dir = std::mem::take(&mut self.dir);
         drop(self); // close the active segment before unlinking it
@@ -519,7 +549,13 @@ impl SessionStore {
 }
 
 impl Drop for SessionStore {
+    /// The WAL writes its tail when it drops, unless the store may no
+    /// longer write: a fenced or stale store discards it, so a log the
+    /// router has moved never gains records from its old owner.
     fn drop(&mut self) {
+        if self.epoch_check().is_err() {
+            self.wal.discard_tail();
+        }
         self.release_gauge();
     }
 }
@@ -1268,6 +1304,40 @@ mod tests {
         .expect("store exists");
         assert_eq!(rec.events, trace);
         assert_eq!(rec.store.epoch(), 9);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A fenced store's unwritten tail never reaches the log: the events
+    /// a `sync` covered replay, the ones after it do not.
+    #[test]
+    fn fenced_store_discards_its_unwritten_tail_on_drop() {
+        let dir = scratch_dir("fenced-tail");
+        let guard = Arc::new(FenceGuard::new());
+        guard.grant_at(0, 5, 1_000);
+        let cfg = StoreConfig {
+            epoch: 5,
+            guard: Some(Arc::clone(&guard)),
+            binary_events: true,
+            ..StoreConfig::default()
+        };
+        let trace = ops(9);
+        let (synced, unsynced) = trace.split_at(5);
+        let mut store = SessionStore::create(&dir, 1, &Hello::new(2), cfg).unwrap();
+        for (tid, op) in synced {
+            store.append_event(*tid, op).unwrap();
+        }
+        store.sync().unwrap();
+        for (tid, op) in unsynced {
+            store.append_event(*tid, op).unwrap();
+        }
+        guard.fence();
+        assert!(store.sync().is_err(), "a fenced store writes no tail");
+        drop(store);
+
+        let rec = SessionStore::recover(&dir, StoreConfig::default())
+            .unwrap()
+            .expect("store exists");
+        assert_eq!(rec.events, synced);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

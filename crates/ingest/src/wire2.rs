@@ -443,12 +443,17 @@ fn read_name<'t>(
 
 /// Encodes one event as a self-contained record body — the payload of an
 /// `EVENT2` WAL record. It is the frame a fresh [`Enc`] would write
-/// (absolute tid, name inline), written directly: no codec state, one
-/// exactly sized allocation.
+/// (absolute tid, name inline), written directly: no codec state.
 pub fn encode_event_record<'a>(tid: usize, op: impl Into<OpRef<'a>>) -> Vec<u8> {
     let mut out = Vec::new();
-    push_event_frame(&mut out, zigzag(tid as i64), op.into(), None);
+    push_event_record(&mut out, tid, op.into());
     out
+}
+
+/// Appends the body [`encode_event_record`] returns to `out`, so a
+/// caller that reuses `out` encodes without allocating.
+pub fn push_event_record(out: &mut Vec<u8>, tid: usize, op: OpRef<'_>) {
+    push_event_frame(out, zigzag(tid as i64), op, None);
 }
 
 /// Decodes a self-contained event record produced by

@@ -2,13 +2,17 @@
 //!
 //! This binary installs its own counting global allocator. It counts per
 //! thread, so the test harness's other threads do not disturb a count.
-//! Three hot loops are held to zero allocations: `Enc::push_event` into
+//! Four hot loops are held to zero allocations: `Enc::push_event` into
 //! a reserved buffer, the borrowed decode of those frames
-//! (`Dec::next_ref`), and `Session::apply` of reads and writes of names
-//! the session already knows.
+//! (`Dec::next_ref`), `Session::apply` of reads and writes of names the
+//! session already knows, and `SessionStore::append_event` of binary
+//! records once the WAL's tail buffer is warm.
 
+use paramount_durable::FsyncPolicy;
 use paramount_ingest::wire2::FrameRef;
-use paramount_ingest::{Dec, Enc, Hello, OpRef, Session, SessionConfig, WireOp};
+use paramount_ingest::{
+    Dec, Enc, Hello, OpRef, Session, SessionConfig, SessionStore, StoreConfig, WireOp,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -125,4 +129,32 @@ fn session_interning_of_a_known_name_allocates_nothing() {
         }
     });
     assert_eq!(allocs, 0, "Session::apply of known names allocated");
+}
+
+#[test]
+fn store_append_of_binary_records_allocates_nothing_once_the_tail_is_warm() {
+    let dir = std::env::temp_dir().join(format!("paramount-zero-alloc-{}", std::process::id()));
+    let cfg = StoreConfig {
+        checkpoint_every: 0,
+        fsync: FsyncPolicy::Never,
+        binary_events: true,
+        ..StoreConfig::default()
+    };
+    let mut store = SessionStore::create(&dir, 1, &Hello::new(4), cfg).unwrap();
+    let ops = ops();
+    // One pass writes the tail at least once, so its buffer and the
+    // record scratch have reached their working size.
+    for (tid, op) in &ops {
+        store.append_event(*tid, op).unwrap();
+    }
+    let (allocs, ()) = allocations(|| {
+        for (tid, op) in &ops {
+            store.append_event(*tid, op).unwrap();
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "SessionStore::append_event allocated {allocs} times over {EVENTS} events"
+    );
+    store.delete().unwrap();
 }
