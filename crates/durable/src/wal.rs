@@ -25,13 +25,16 @@
 //! fsync), before a segment rotation, in [`Wal::compact`], once it holds
 //! [`TAIL_BYTES`], and, best-effort, when the `Wal` is dropped. The bytes
 //! on disk are the same as if each record had been written on its own,
-//! and the tail holds at most [`TAIL_BYTES`] plus one record.
+//! and the tail holds at most [`TAIL_BYTES`] plus one record. An owner
+//! that may have lost the log to another writer by the time it drops
+//! calls [`Wal::discard_tail`] first, so nothing lands late.
 //!
 //! **A failure poisons the log.** After any failed append, sync or
 //! compact — a short or failed `write`, a failed fsync — the tail is
-//! dropped and every later call returns an error naming the first one. A
-//! caller therefore never counts a record that is not in the log, and
-//! never appends behind a torn one.
+//! dropped and every later append and sync returns an error naming the
+//! first one. A caller therefore never counts a record that is not in
+//! the log, and never appends behind a torn one. Only a successful
+//! [`Wal::compact`], which replaces the whole log, clears the poison.
 //!
 //! # Crash model & torn-tail truncation
 //!
@@ -459,7 +462,8 @@ impl Wal {
 
     /// Drops the unwritten tail without writing it: the records appended
     /// since the last write will not be in the log. For an owner that
-    /// has lost the right to write (a fenced session store).
+    /// may have lost the right to write, such as a session store whose
+    /// log a `RESUME` elsewhere or a fence has handed to another writer.
     pub fn discard_tail(&mut self) {
         self.active_len -= self.tail.len() as u64;
         self.tail.clear();
@@ -474,6 +478,11 @@ impl Wal {
                 format!("log refuses writes after an earlier failure: {first}"),
             ));
         }
+        self.poison_on_failure(op)
+    }
+
+    /// Runs `op`, poisoning the log if it fails.
+    fn poison_on_failure(&mut self, op: impl FnOnce(&mut Wal) -> io::Result<()>) -> io::Result<()> {
         let result = op(self);
         if let Err(err) = &result {
             self.poisoned = Some((err.kind(), err.to_string()));
@@ -536,9 +545,13 @@ impl Wal {
     /// record is the snapshot; a crash mid-way leaves extra older
     /// segments that replay *before* the snapshot, which a
     /// last-snapshot-wins reader ignores.
+    ///
+    /// Compaction also runs on a poisoned log, and its success clears
+    /// the poison: the snapshot stands for the caller's whole state, and
+    /// the segments that may hold a torn record are the ones it deletes.
     pub fn compact(&mut self, kind: u8, payload: &[u8]) -> io::Result<usize> {
         let mut removed = 0;
-        self.unless_poisoned(|wal| {
+        self.poison_on_failure(|wal| {
             wal.rotate()?;
             wal.push_record(kind, payload);
             wal.write_tail()?;
@@ -554,6 +567,7 @@ impl Wal {
             wal.dirty = false;
             Ok(())
         })?;
+        self.poisoned = None;
         Ok(removed)
     }
 }
@@ -807,6 +821,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A torn write poisons appends and syncs but not compaction, whose
+    /// snapshot replaces the torn segment and clears the poison: the log
+    /// takes appends again and replays as snapshot plus what followed.
+    #[test]
+    fn compaction_heals_a_poisoned_log() {
+        let dir = scratch_dir("heal");
+        let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+        wal.append(1, b"kept").unwrap();
+        wal.sync().unwrap();
+        wal.append(1, b"torn").unwrap();
+        fail_write::arm(fail_write::writes() + 1, true);
+        assert!(wal.sync().is_err());
+        fail_write::disarm();
+        assert!(wal.append(1, b"refused").is_err());
+        assert!(wal.sync().is_err());
+
+        assert_eq!(wal.compact(2, b"snapshot").unwrap(), 1);
+        wal.append(1, b"after").unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+
+        let (_wal, records) = Wal::open(&dir, WalConfig::default()).unwrap();
+        let got: Vec<(u8, &[u8])> = records
+            .iter()
+            .map(|r| (r.kind, r.payload.as_slice()))
+            .collect();
+        assert_eq!(got, [(2, &b"snapshot"[..]), (1, &b"after"[..])]);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Replay throughput over a long multi-segment prefix, for

@@ -454,17 +454,18 @@ impl Shared {
 
     /// Appends one record to the durable manifest (best-effort: an
     /// unwritable manifest degrades to in-memory routing rather than
-    /// taking the fleet down), compacting periodically.
+    /// taking the fleet down), compacting periodically. A failed write
+    /// poisons the log until a compaction replaces it, so one is tried
+    /// at once: its snapshot carries the next epoch and every migration,
+    /// which covers what the lost record journaled.
     fn log_manifest(&self, kind: u8, payload: &[u8]) {
         let mut slot = self.manifest.lock().unwrap_or_else(|e| e.into_inner());
         let Some(manifest) = slot.as_mut() else {
             return;
         };
-        if manifest.wal.append(kind, payload).is_err() || manifest.wal.sync().is_err() {
-            return;
-        }
+        let journaled = manifest.wal.append(kind, payload).is_ok() && manifest.wal.sync().is_ok();
         manifest.appends_since_compact += 1;
-        if manifest.appends_since_compact >= MANIFEST_COMPACT_EVERY {
+        if !journaled || manifest.appends_since_compact >= MANIFEST_COMPACT_EVERY {
             let snapshot = self.manifest_snapshot();
             if manifest
                 .wal

@@ -47,21 +47,28 @@
 //!
 //! Appends go to the WAL's in-memory tail ([`paramount_durable::wal`]):
 //! a per-event append makes no syscall, and the tail reaches the log in
-//! one `write` at the next `FLUSH` ([`SessionStore::sync`]), checkpoint
-//! or drain, or once it holds [`paramount_durable::wal::TAIL_BYTES`].
+//! one `write` at the next `FLUSH` ([`SessionStore::sync`]) or
+//! checkpoint, or once it holds [`paramount_durable::wal::TAIL_BYTES`].
 //! So under every [`FsyncPolicy`] a kill -9 loses at most the events
-//! accepted since the last `FLUSH`, checkpoint or drain, and never an
-//! event a `FLUSH` acked; `RESUME`'s `acked=` names exactly what
-//! survived, and the client re-sends the rest. `Always` writes and
-//! fsyncs every event and has no tail; `Never` differs from `OnDemand`
-//! only in what a power loss takes.
+//! accepted since the last `FLUSH` or checkpoint, and never an event a
+//! `FLUSH` acked; `RESUME`'s `acked=` names exactly what survived, and
+//! the client re-sends the rest. `Always` writes and fsyncs every event
+//! and has no tail; `Never` differs from `OnDemand` only in what a power
+//! loss takes.
 //!
-//! Two rules keep `acked` honest. A failed write poisons the WAL: every
-//! later append and sync fails, so the session ends `ERR limit` with an
-//! exact prefix instead of counting an event that is not in the log.
-//! And fencing reaches the tail: it is written only while the store's
-//! epoch check passes, and a fenced or stale store discards it on drop,
-//! as [`SessionStore::delete`] does.
+//! A session that ends without `END` — disconnect, timeout, limit,
+//! shutdown, fault — loses the same: a dropped store discards its tail
+//! instead of writing it. By the time such a session is finalized, a
+//! `RESUME` on another connection may already have recovered the log and
+//! be appending at the offset the old store's tail would land on; a late
+//! write there would tear the new owner's records.
+//!
+//! Two more rules keep `acked` honest. A failed write poisons the WAL:
+//! every later append and sync fails, so the session ends `ERR limit`
+//! with an exact prefix instead of counting an event that is not in the
+//! log. And fencing reaches the tail: [`SessionStore::sync`] writes it
+//! only while the store's epoch check passes, so a log the router has
+//! moved never gains records from its old owner.
 //!
 //! # Record encoding
 //!
@@ -520,7 +527,6 @@ impl SessionStore {
     /// resume). Consumes the store; the session directory — including
     /// any interval spill files beside the WAL — is removed.
     pub fn delete(mut self) -> io::Result<()> {
-        self.wal.discard_tail();
         self.release_gauge();
         let dir = std::mem::take(&mut self.dir);
         drop(self); // close the active segment before unlinking it
@@ -549,13 +555,10 @@ impl SessionStore {
 }
 
 impl Drop for SessionStore {
-    /// The WAL writes its tail when it drops, unless the store may no
-    /// longer write: a fenced or stale store discards it, so a log the
-    /// router has moved never gains records from its old owner.
+    /// Discards the WAL's unwritten tail: a store writes only at its
+    /// sync points, never late (see "What a crash loses").
     fn drop(&mut self) {
-        if self.epoch_check().is_err() {
-            self.wal.discard_tail();
-        }
+        self.wal.discard_tail();
         self.release_gauge();
     }
 }
@@ -814,6 +817,7 @@ mod tests {
                 store.checkpoint(tally, &FaultLog::default()).unwrap();
             }
         }
+        store.sync().unwrap(); // a dropped store discards its tail
         drop(store);
 
         // 10 events at checkpoint_every=4 → checkpoints at 4 and 8, each

@@ -211,6 +211,7 @@ fn fenced_guards_refuse_durable_writes_at_every_entry_point() {
             drop(store);
             assert!(SessionStore::recover(&dir, cfg).is_err());
         } else {
+            store.sync().unwrap(); // a dropped store discards its tail
             drop(store);
             let recovered = SessionStore::recover(&dir, cfg).unwrap().unwrap();
             assert_eq!(recovered.events.len() as u64, accepted);
